@@ -34,6 +34,7 @@ import time
 
 from repro.bench.harness import BenchRow
 from repro.schema.dataset_schema import synthetic_schema
+from repro.schema.domain import ALL_VALUE
 from repro.service.cluster import bootstrap_cluster
 from repro.workflow.workflow import AggregationWorkflow
 
@@ -188,8 +189,9 @@ class _Reader(threading.Thread):
                 rec = pool[rng.randrange(len(pool))]
                 started = time.perf_counter()
                 if rng.random() < 0.8:
+                    # Region keys are full-width: d2 is aggregated.
                     self.cluster.point(
-                        "Count", (rec[0], rec[1]), default=0
+                        "Count", (rec[0], rec[1], ALL_VALUE), default=0
                     )
                 else:
                     self.cluster.range("Total", (rec[0],))

@@ -165,6 +165,23 @@ class Granularity:
             self._record_key_fn = key_of
         return self._record_key_fn
 
+    def check_key(self, key: Key) -> None:
+        """Reject a key that is not one value per dimension.
+
+        Region keys always have the schema's full width (``ALL`` slots
+        hold the constant ``ALL`` value); a shorter or longer tuple can
+        match no region and is a caller error, not an absent region.
+
+        Raises:
+            GranularityError: if the widths differ.
+        """
+        if len(key) != len(self.levels):
+            raise GranularityError(
+                f"key {tuple(key)} has {len(key)} components; region keys "
+                f"of {self} have one per dimension ({len(self.levels)}), "
+                "with the ALL value in aggregated dimensions"
+            )
+
     def generalize_key(self, key: Key, finer: "Granularity") -> Key:
         """Roll a key up from a finer granularity to this one.
 

@@ -42,9 +42,12 @@ from repro.obs.profile import NodeProfile
 from repro.storage.columnar import (
     RecordBatch,
     batches_from_records,
+    lift_columns,
     map_column,
     np,
     resolve_batch_size,
+    row_keys,
+    sorted_runs,
 )
 from repro.storage.external_sort import DEFAULT_RUN_SIZE, external_sort
 from repro.storage.flatfile import FlatFileDataset, write_flatfile
@@ -53,6 +56,16 @@ from repro.storage.table import Dataset, InMemoryDataset
 from repro.testkit.failpoints import fire, register
 
 _MISSING = object()
+#: ``finalize`` result of an entry that produces no output row.
+_SKIP = object()
+
+#: Shortest chunk the batched scan stages as sorted segments.  The
+#: array round trip costs a fixed ~25 µs per node and cascade more than
+#: the hash-table path and saves ~3 µs per entry that never enters the
+#: ``dict``: with near-distinct keys (Q1) the two cross at about twelve
+#: rows, and shorter chunks — a few-hundred-record ingest delta spread
+#: over its trigger regions — fold straight into the table.
+_MIN_STAGED_ROWS = 16
 
 FP_CASCADE = register(
     "sortscan.cascade", "engine",
@@ -101,6 +114,9 @@ class _RuntimeNode:
         "src_levels",
         "touched",
         "prof",
+        "updater",
+        "finalize",
+        "deliveries",
     )
 
     def __init__(self, node: Node, checker: NodeChecker, outputs) -> None:
@@ -115,6 +131,12 @@ class _RuntimeNode:
         self.touched = False
         #: Per-node profile counters (``profile=True`` runs only).
         self.prof: NodeProfile | None = None
+        #: Folds fact records into ``table`` (basic nodes only).
+        self.updater: BasicBatchUpdater | None = None
+        #: ``(key, entry) -> value | _SKIP`` and one :class:`_Delivery`
+        #: per out arc — compiled once per run (``_run``).
+        self.finalize = None
+        self.deliveries: list[_Delivery] = []
         if isinstance(node, BasicNode):
             self.kind = "basic"
         elif isinstance(node, CombineNode):
@@ -132,10 +154,206 @@ class _RuntimeNode:
             raise EvaluationError(f"unknown node type {node!r}")
 
     def entries(self) -> int:
-        total = len(self.table)
+        total = 0
+        if self.updater is not None:
+            # Segments staged in arrays are resident state too (asked
+            # first: grouping them drains the table's entries in).
+            total = self.updater.staged_entries()
+        total += len(self.table)
         if self.parents is not None:
             total += len(self.parents)
         return total
+
+
+class _CascadeClock:
+    """Where the scan stands between cascades: the trigger prefix the
+    last cascade ran at and the rows folded since."""
+
+    __slots__ = ("trigger", "since")
+
+    def __init__(self) -> None:
+        self.trigger: tuple | None = None
+        self.since = 0
+
+
+class _Delivery:
+    """One out arc with its per-entry work resolved once per run.
+
+    ``deliver(key, value)`` carries one finalized entry across the arc.
+    ``columnar`` marks arcs whose destination key is a pure lift of the
+    source key (roll-ups and child→parent matches, unfiltered): a
+    whole sorted run of entries crosses those as arrays
+    (:meth:`SortScanEngine._deliver_columns`).
+    """
+
+    __slots__ = ("arc", "dst", "deliver", "columnar")
+
+    def __init__(self, arc: Arc, dst: _RuntimeNode) -> None:
+        self.arc = arc
+        self.dst = dst
+        self.deliver = _make_deliver(arc, dst)
+        self.columnar = arc.filter is None and _lifts(arc, dst)
+
+
+def _lifts(arc: Arc, dst: _RuntimeNode) -> bool:
+    """Is the destination key just the source key generalized?"""
+    return arc.role == "values" and (
+        dst.kind == "rollup" or isinstance(arc.cond, ChildParent)
+    )
+
+
+def _late(key: tuple, what) -> EvaluationError:
+    return EvaluationError(f"late update for finalized key {key} of {what}")
+
+
+def _update_plain(dst: _RuntimeNode, key: tuple, value, agg) -> None:
+    if dst.flushed_keys is not None and key in dst.flushed_keys:
+        raise _late(key, repr(dst.node.name))
+    table = dst.table
+    state = table.get(key, _MISSING)
+    if state is _MISSING:
+        state = agg.create()
+    table[key] = agg.update(state, value)
+
+
+def _update_match(dst: _RuntimeNode, key: tuple, value, agg) -> None:
+    if dst.flushed_keys is not None and key in dst.flushed_keys:
+        raise _late(key, repr(dst.node.name))
+    entry = dst.table.get(key)
+    if entry is None:
+        entry = [False, agg.create()]
+        dst.table[key] = entry
+    entry[1] = agg.update(entry[1], value)
+
+
+def _make_deliver(arc: Arc, dst: _RuntimeNode):
+    """Compile ``arc`` into a ``(key, value) -> None`` closure."""
+    node = dst.node
+    table = dst.table
+    role = arc.role
+    cond = arc.cond
+    if role == "keys":
+        create = node.agg.function.create
+
+        def carry(key, value):
+            entry = table.get(key)
+            if entry is None:
+                table[key] = [True, create()]
+            else:
+                entry[0] = True
+
+    elif role == "combine":
+        index, width = arc.index, node.num_inputs
+
+        def carry(key, value):
+            entry = table.get(key)
+            if entry is None:
+                entry = [_MISSING] * width
+                table[key] = entry
+            entry[index] = value
+
+    else:
+        agg = node.agg.function
+        granularity, src_granularity = node.granularity, arc.src.granularity
+        if _lifts(arc, dst):
+            lift = granularity.lift_fn(src_granularity)
+
+            def carry(key, value):
+                _update_plain(dst, lift(key), value, agg)
+
+        elif isinstance(cond, SelfMatch):
+
+            def carry(key, value):
+                _update_match(dst, key, value, agg)
+
+        elif isinstance(cond, ParentChild):
+            parents = dst.parents
+
+            def carry(key, value):
+                parents[key] = value
+
+        elif isinstance(cond, (Sibling, Lags)):
+            affected = cond.affected_keys
+
+            def carry(key, value):
+                for out_key in affected(key, granularity, src_granularity):
+                    _update_match(dst, out_key, value, agg)
+
+        else:
+            raise EvaluationError(f"unsupported condition {cond!r}")
+
+    arc_filter = arc.filter
+    prof = dst.prof
+    guarded = dst.flushed_keys if role != "values" else None
+
+    def deliver(key, value):
+        if arc_filter is not None and not arc_filter(key, value):
+            return
+        dst.touched = True
+        if prof is not None:
+            prof.rows_in += 1
+        if guarded is not None and key in guarded:
+            raise _late(key, f"{arc!r}")
+        carry(key, value)
+
+    return deliver
+
+
+def _make_finalize(rt: _RuntimeNode):
+    """Compile ``rt``'s ``(key, entry) -> value | _SKIP``."""
+    node = rt.node
+    kind = rt.kind
+    if kind == "combine":
+        fn = node.fn
+
+        def finalize(key, slots):
+            if slots[0] is _MISSING:
+                return _SKIP
+            return fn(
+                *[None if slot is _MISSING else slot for slot in slots]
+            )
+
+        return finalize
+    agg = node.agg.function
+    finish = agg.finalize
+    if kind in ("basic", "rollup"):
+        return lambda key, entry: finish(entry)
+    if kind == "match":
+        return lambda key, entry: finish(entry[1]) if entry[0] else _SKIP
+    # pc-match: the value is the parent's, looked up at finalization.
+    ancestor_of = node.cond.ancestor
+    granularity = node.granularity
+    src_granularity = node.values_arc.src.granularity
+    parents = rt.parents
+
+    def finalize(key, entry):
+        if not entry[0]:
+            return _SKIP
+        ancestor = ancestor_of(key, granularity, src_granularity)
+        state = agg.create()
+        if ancestor in parents:
+            state = agg.update(state, parents[ancestor])
+        return finish(state)
+
+    return finalize
+
+
+def _as_column(values: list):
+    """``values`` as a float64/int64 array when ``update_many`` folds
+    that bit-identically to the values themselves — uniformly Python
+    floats, or ints small enough that no int64 running total can wrap
+    where a Python int would grow — else the list unchanged."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.asarray(values)
+    if kinds == {int}:
+        try:
+            column = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            return values
+        if -(2**31) < column.min() and column.max() < 2**31:
+            return column
+    return values
 
 
 class SortScanEngine(Engine):
@@ -151,9 +369,9 @@ class SortScanEngine(Engine):
         run_size: In-memory run size for the external sort; datasets at
             most this large sort fully in memory.
         memory_budget_entries: Optional hard cap on resident entries
-            (hash tables plus parent side tables), checked at every
-            cascade; exceeding raises
-            :class:`~repro.errors.MemoryBudgetExceeded`.
+            (hash tables, parent side tables, and the batched scan's
+            staged segments), checked at every cascade; exceeding
+            raises :class:`~repro.errors.MemoryBudgetExceeded`.
         cascade_prefix: How many leading sort-key components trigger a
             flush cascade when they change.  Watermark bounds are
             consistent functions of the scan position, so flushing at a
@@ -178,9 +396,10 @@ class SortScanEngine(Engine):
             numpy is available, scalar otherwise; ``0`` forces the
             row-at-a-time scalar path.  The batched scan sorts with a
             stable ``numpy.lexsort`` (the same permutation as the
-            scalar stable sort), detects trigger-prefix changes with a
-            vectorized key-change scan, slices the batch per region,
-            and cascades on region boundaries; results are
+            scalar stable sort), cascades at the scalar scan's
+            positions, and in between groups each basic node's rows
+            into sorted segments whose final ones are flushed as
+            arrays (see :meth:`_scan_batches`).  Results are
             bit-identical to the scalar path (see
             :mod:`repro.engine.batch`).
     """
@@ -208,7 +427,6 @@ class SortScanEngine(Engine):
         self.max_records_between_cascades = max_records_between_cascades
         self.profile = profile
         self.batch_size = batch_size
-        self._cascade_count = 0
 
     # -- top level ---------------------------------------------------------
 
@@ -247,26 +465,26 @@ class SortScanEngine(Engine):
                     rt.prof = NodeProfile(name=node.name, kind=rt.kind)
                 runtime[node.name] = rt
         topo_runtime = [runtime[node.name] for node in graph.nodes]
+        for rt in topo_runtime:
+            rt.finalize = _make_finalize(rt)
+            rt.deliveries = [
+                _Delivery(arc, runtime[arc.dst.name])
+                for arc in rt.node.out_arcs
+            ]
         if sink.wants_states:
             # Partial-state capture (the measure service's ingestion
             # hook): announce every basic node so the sink can set up
             # one state table per fact-facing measure.
             for node in graph.basic_nodes:
                 sink.open_states(node.name, node.granularity)
-        # Precompiled per-basic-node update plan: (filter, key_fn,
-        # value_index, aggregate, table, runtime) — the innermost loop.
-        basic_plan = [
-            (
-                rt.node.record_filter,
-                rt.node.granularity.record_key_fn(),
-                rt.node.value_index,
-                rt.node.agg.function,
-                rt.table,
-                rt,
-            )
-            for rt in topo_runtime
-            if isinstance(rt.node, BasicNode)
-        ]
+        updaters = []
+        for rt in topo_runtime:
+            if rt.kind == "basic":
+                rt.updater = BasicBatchUpdater(
+                    rt.node, rt.table, rt.flushed_keys, rt.prof
+                )
+                updaters.append(rt.updater)
+        clock = _CascadeClock()
 
         # ---- sort phase ---------------------------------------------------
         batch_size = resolve_batch_size(self.batch_size)
@@ -280,147 +498,116 @@ class SortScanEngine(Engine):
                     dataset, sort_key, mapper, batch_size
                 )
             else:
-                records, cleanup = self._sorted_records(
-                    dataset, mapper, stats
-                )
+                records, cleanup = self._sorted_records(dataset, mapper)
         stats.sort_seconds = time.perf_counter() - sort_started
 
         # ---- scan phase ---------------------------------------------------
         scan_started = time.perf_counter()
         scan_span = tracer.span("scan", cat="engine")
         scan_span.__enter__()
-        prefix = self.cascade_prefix
-        force_every = self.max_records_between_cascades
-        profiling = self.profile
         try:
             if batch_size > 0:
                 rows = self._scan_batches(
-                    batches, sort_key, mapper, topo_runtime, runtime,
-                    sink, stats,
+                    batches, sort_key, mapper, clock, updaters,
+                    topo_runtime, sink, stats,
                 )
             else:
-                prev_trigger: tuple | None = None
-                since_cascade = 0
-                rows = 0
-                for record in records:
-                    pos = mapper(record)
-                    trigger = pos[:prefix]
-                    since_cascade += 1
-                    if (
-                        trigger != prev_trigger
-                        or since_cascade >= force_every
-                    ):
-                        if prev_trigger is not None:
-                            self._cascade(
-                                topo_runtime, runtime, pos, sink, stats,
-                                final=False,
-                            )
-                        prev_trigger = trigger
-                        since_cascade = 0
-                    for rec_filter, key_fn, value_index, agg, table, rt in (
-                        basic_plan
-                    ):
-                        if rec_filter is not None and not rec_filter(
-                            record
-                        ):
-                            continue
-                        key = key_fn(record)
-                        value = (
-                            1
-                            if value_index is None
-                            else record[value_index]
-                        )
-                        state = table.get(key, _MISSING)
-                        if state is _MISSING:
-                            if (
-                                rt.flushed_keys is not None
-                                and key in rt.flushed_keys
-                            ):
-                                raise EvaluationError(
-                                    f"late update: record for finalized "
-                                    f"key {key} of basic node "
-                                    f"{rt.node.name!r}"
-                                )
-                            state = agg.create()
-                        table[key] = agg.update(state, value)
-                        if profiling:
-                            rt.prof.rows_in += 1
-                    rows += 1
+                rows = self._scan_records(
+                    records, mapper, clock, updaters, topo_runtime,
+                    sink, stats,
+                )
             stats.rows_scanned = rows
             stats.scans = 1
-            self._cascade(
-                topo_runtime, runtime, None, sink, stats, final=True
-            )
+            self._cascade(topo_runtime, None, sink, stats, final=True)
         finally:
             cleanup()
             scan_span.set(rows=stats.rows_scanned)
             scan_span.__exit__(None, None, None)
         stats.scan_seconds = time.perf_counter() - scan_started
-        if profiling:
+        if self.profile:
             stats.nodes.extend(
                 rt.prof.to_dict() for rt in topo_runtime
             )
+
+    def _scan_records(
+        self,
+        records,
+        mapper,
+        clock: _CascadeClock,
+        updaters: list[BasicBatchUpdater],
+        topo_runtime: list[_RuntimeNode],
+        sink: Sink,
+        stats: EvalStats,
+    ) -> int:
+        """The row-at-a-time sorted scan (the scalar engine, and the
+        batched scan's fallback for list-backed batches): cascade when
+        the trigger prefix changes or the safety valve fills, then fold
+        the record into every basic node."""
+        prefix = self.cascade_prefix
+        force_every = self.max_records_between_cascades
+        trigger, since = clock.trigger, clock.since
+        rows = 0
+        for record in records:
+            pos = mapper(record)
+            since += 1
+            if pos[:prefix] != trigger or since >= force_every:
+                if trigger is not None:
+                    self._cascade(
+                        topo_runtime, pos, sink, stats, final=False
+                    )
+                trigger = pos[:prefix]
+                since = 0
+            for updater in updaters:
+                updater.apply_record(record)
+            rows += 1
+        clock.trigger, clock.since = trigger, since
+        return rows
 
     def _scan_batches(
         self,
         batches,
         sort_key: SortKey,
         mapper,
+        clock: _CascadeClock,
+        updaters: list[BasicBatchUpdater],
         topo_runtime: list[_RuntimeNode],
-        runtime: dict[str, _RuntimeNode],
         sink: Sink,
         stats: EvalStats,
     ) -> int:
-        """The batched sorted scan: vectorized trigger detection,
-        per-region batch slicing, cascades on region boundaries.
+        """The batched sorted scan: hold each chunk of rows, cascade
+        between chunks.
 
-        The cascade *positions* are the same trigger-prefix boundaries
-        the scalar loop cascades on (watermark bounds are consistent
-        functions of the scan position, so cascading at a subset of
-        position changes is always correct); the
-        ``max_records_between_cascades`` safety valve is honored by
-        splitting long regions.
+        Chunks are the scalar loop's: a trigger region, cut by
+        ``max_records_between_cascades``, so cascades fall on exactly
+        the scalar scan's positions — the footprint between cascades
+        and the order every downstream entry accumulates in are the
+        scalar engine's.  The cascade that follows a chunk groups it
+        once per basic node into sorted segments
+        (:meth:`BasicBatchUpdater.stage`) and flushes the ones it finds
+        final straight from the arrays.
         """
         prefix = self.cascade_prefix
         force_every = self.max_records_between_cascades
         schema = sort_key.schema
         parts = sort_key.parts
-        updaters = [
-            BasicBatchUpdater(
-                rt.node, rt.table, rt.flushed_keys, rt.prof
-            )
+        # Nothing of a never-final node leaves before the end of the
+        # scan: its rows always fold straight into the table.
+        stageable = [
+            not rt.checker.never
             for rt in topo_runtime
-            if rt.kind == "basic"
+            if rt.updater is not None
         ]
-        prev_trigger: tuple | None = None
-        since_cascade = 0
         rows = 0
         for batch in batches:
             n = len(batch)
             if n == 0:
                 continue
             if not batch.vector:
-                # Defensive fallback for rows that refused the columnar
-                # layout: per-record processing, same cascade rule as
-                # the scalar loop.
-                for record in batch.python_rows():
-                    pos = mapper(record)
-                    trigger = pos[:prefix]
-                    since_cascade += 1
-                    if (
-                        trigger != prev_trigger
-                        or since_cascade >= force_every
-                    ):
-                        if prev_trigger is not None:
-                            self._cascade(
-                                topo_runtime, runtime, pos, sink, stats,
-                                final=False,
-                            )
-                        prev_trigger = trigger
-                        since_cascade = 0
-                    for updater in updaters:
-                        updater.apply_record(record)
-                    rows += 1
+                # Rows that refused the columnar layout (NULL measures).
+                rows += self._scan_records(
+                    batch.python_rows(), mapper, clock, updaters,
+                    topo_runtime, sink, stats,
+                )
                 continue
             part_cols = [
                 map_column(
@@ -445,28 +632,59 @@ class SortScanEngine(Engine):
                 )
                 at = start
                 while at < end:
-                    if (
-                        trigger != prev_trigger
-                        or since_cascade >= force_every
-                    ):
-                        if prev_trigger is not None:
+                    cascaded = (
+                        trigger != clock.trigger
+                        or clock.since >= force_every
+                    )
+                    if cascaded:
+                        if clock.trigger is not None:
                             pos = tuple(
                                 int(col[at]) for col in part_cols
                             )
                             self._cascade(
-                                topo_runtime, runtime, pos, sink, stats,
-                                final=False,
+                                topo_runtime, pos, sink, stats, final=False
                             )
-                        prev_trigger = trigger
-                        since_cascade = 0
-                    take = min(end - at, force_every - since_cascade)
+                        clock.trigger = trigger
+                        clock.since = 0
+                    take = min(end - at, force_every - clock.since)
                     sub = batch.slice(at, at + take)
-                    for updater in updaters:
-                        updater.apply(sub)
-                    since_cascade += take
+                    hold = cascaded and take >= _MIN_STAGED_ROWS
+                    for updater, stages in zip(updaters, stageable):
+                        # Rows that follow a cascade are held for the
+                        # next one; rows extending a chunk fold into
+                        # the table (after the rows held before them).
+                        if hold and stages:
+                            updater.stage(sub)
+                        else:
+                            updater.apply(sub)
+                    clock.since += take
                     at += take
             rows += n
         return rows
+
+    def _fits_in_memory(self, dataset: Dataset) -> bool:
+        try:
+            return len(dataset) <= self.run_size
+        except (TypeError, NotImplementedError):
+            return False
+
+    def _spool_sorted(self, dataset: Dataset, mapper):
+        """Two-phase external sort materialized to a temporary flat
+        file, so the sort phase's cost is attributable (Figure 6(e));
+        returns (sorted dataset, cleanup callable)."""
+        fd, path = tempfile.mkstemp(prefix="awra-sorted-", suffix=".bin")
+        os.close(fd)
+        write_flatfile(
+            path,
+            dataset.schema,
+            external_sort(dataset.scan(), mapper, run_size=self.run_size),
+        )
+
+        def cleanup() -> None:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+
+        return FlatFileDataset(path, dataset.schema), cleanup
 
     def _sorted_batches(
         self,
@@ -483,44 +701,14 @@ class SortScanEngine(Engine):
         ``sorted(records, key=mapper)``.  Oversized datasets reuse the
         external sort and re-read the spooled flat file in batches.
         """
-        try:
-            size = len(dataset)
-        except (TypeError, NotImplementedError):
-            size = None
+        if not self._fits_in_memory(dataset):
+            spooled, cleanup = self._spool_sorted(dataset, mapper)
+            return spooled.scan_batches(batch_size), cleanup
         schema = dataset.schema
-        if size is not None and size <= self.run_size:
-            chunks = list(dataset.scan_batches(batch_size))
-            if not chunks:
-                return [], lambda: None
-            if all(chunk.vector for chunk in chunks):
-                width = len(chunks[0].columns)
-                cols = [
-                    np.concatenate(
-                        [chunk.columns[i] for chunk in chunks]
-                    )
-                    if len(chunks) > 1
-                    else chunks[0].columns[i]
-                    for i in range(width)
-                ]
-                part_cols = [
-                    map_column(
-                        schema.dimensions[dim].hierarchy, 0, level,
-                        cols[dim],
-                    )
-                    for dim, level in sort_key.parts
-                ]
-                order = np.lexsort(tuple(reversed(part_cols)))
-                cols = [col[order] for col in cols]
-                total = len(order)
-                batches = [
-                    RecordBatch(
-                        schema,
-                        [col[s : s + batch_size] for col in cols],
-                        min(batch_size, total - s),
-                    )
-                    for s in range(0, total, batch_size)
-                ]
-                return batches, lambda: None
+        chunks = list(dataset.scan_batches(batch_size))
+        if not chunks:
+            return [], lambda: None
+        if not all(chunk.vector for chunk in chunks):
             records = sorted(
                 (
                     record
@@ -533,56 +721,44 @@ class SortScanEngine(Engine):
                 batches_from_records(schema, records, batch_size),
                 lambda: None,
             )
-        fd, path = tempfile.mkstemp(
-            prefix="awra-sorted-", suffix=".bin"
-        )
-        os.close(fd)
-        write_flatfile(
-            path,
-            schema,
-            external_sort(dataset.scan(), mapper, run_size=self.run_size),
-        )
-        sorted_dataset = FlatFileDataset(path, schema)
+        width = len(chunks[0].columns)
+        cols = [
+            np.concatenate([chunk.columns[i] for chunk in chunks])
+            if len(chunks) > 1
+            else chunks[0].columns[i]
+            for i in range(width)
+        ]
+        part_cols = [
+            map_column(schema.dimensions[dim].hierarchy, 0, level, cols[dim])
+            for dim, level in sort_key.parts
+        ]
+        order = np.lexsort(tuple(reversed(part_cols)))
+        cols = [col[order] for col in cols]
+        total = len(order)
+        batches = [
+            RecordBatch(
+                schema,
+                [col[s : s + batch_size] for col in cols],
+                min(batch_size, total - s),
+            )
+            for s in range(0, total, batch_size)
+        ]
+        return batches, lambda: None
 
-        def cleanup() -> None:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-
-        return sorted_dataset.scan_batches(batch_size), cleanup
-
-    def _sorted_records(self, dataset: Dataset, mapper, stats: EvalStats):
+    def _sorted_records(self, dataset: Dataset, mapper):
         """Sort the dataset; returns (iterable, cleanup callable)."""
-        try:
-            size = len(dataset)
-        except (TypeError, NotImplementedError):
-            size = None
-        if size is not None and size <= self.run_size:
-            if isinstance(dataset, InMemoryDataset):
-                return sorted(dataset.records, key=mapper), lambda: None
-            return sorted(dataset.scan(), key=mapper), lambda: None
-        # Two-phase external sort materialized to a temporary flat
-        # file, so the sort phase's cost is attributable (Figure 6(e)).
-        fd, path = tempfile.mkstemp(prefix="awra-sorted-", suffix=".bin")
-        os.close(fd)
-        write_flatfile(
-            path,
-            dataset.schema,
-            external_sort(dataset.scan(), mapper, run_size=self.run_size),
-        )
-        sorted_dataset = FlatFileDataset(path, dataset.schema)
-
-        def cleanup() -> None:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-
-        return sorted_dataset.scan(), cleanup
+        if not self._fits_in_memory(dataset):
+            spooled, cleanup = self._spool_sorted(dataset, mapper)
+            return spooled.scan(), cleanup
+        if isinstance(dataset, InMemoryDataset):
+            return sorted(dataset.records, key=mapper), lambda: None
+        return sorted(dataset.scan(), key=mapper), lambda: None
 
     # -- flush cascade ------------------------------------------------------
 
     def _cascade(
         self,
         topo_runtime: list[_RuntimeNode],
-        runtime: dict[str, _RuntimeNode],
         pos: tuple | None,
         sink: Sink,
         stats: EvalStats,
@@ -591,25 +767,18 @@ class SortScanEngine(Engine):
         fire(FP_CASCADE)
         if final:
             fire(FP_FINAL_FLUSH)
-        # Sampling the footprint every cascade is wasteful when the
-        # position changes with nearly every record; every 32 cascades
-        # captures the peak closely (resident state evolves slowly).
-        self._cascade_count += 1
-        if final or self._cascade_count % 32 == 1:
-            resident = 0
-            for rt in topo_runtime:
-                entries = rt.entries()
-                resident += entries
-                if rt.prof is not None:
-                    rt.prof.peak_entries = max(
-                        rt.prof.peak_entries, entries
-                    )
-            stats.peak_entries = max(stats.peak_entries, resident)
-            budget = self.memory_budget_entries
-            if budget is not None and resident > budget:
-                raise MemoryBudgetExceeded(
-                    resident, budget, where="sort-scan cascade"
-                )
+        resident = 0
+        for rt in topo_runtime:
+            entries = rt.entries()
+            resident += entries
+            if rt.prof is not None:
+                rt.prof.peak_entries = max(rt.prof.peak_entries, entries)
+        stats.peak_entries = max(stats.peak_entries, resident)
+        budget = self.memory_budget_entries
+        if budget is not None and resident > budget:
+            raise MemoryBudgetExceeded(
+                resident, budget, where="sort-scan cascade"
+            )
 
         tracer = get_tracer()
         flush_started = (
@@ -618,7 +787,7 @@ class SortScanEngine(Engine):
         flushed_before = stats.flushed_entries
         for rt in topo_runtime:
             if final:
-                self._flush_node(rt, runtime, sink, stats, final)
+                self._flush_node(rt, sink, stats, final)
                 continue
             changed = rt.checker.refresh(pos)
             if changed and rt.prof is not None:
@@ -628,7 +797,7 @@ class SortScanEngine(Engine):
             if not changed and not rt.touched:
                 continue
             rt.touched = False
-            self._flush_node(rt, runtime, sink, stats, final)
+            self._flush_node(rt, sink, stats, final)
         if tracer.enabled:
             tracer.add_complete(
                 "flush",
@@ -644,20 +813,19 @@ class SortScanEngine(Engine):
     def _flush_node(
         self,
         rt: _RuntimeNode,
-        runtime: dict[str, _RuntimeNode],
         sink: Sink,
         stats: EvalStats,
         final: bool,
     ) -> None:
         prof = rt.prof
         if prof is None:
-            self._flush_node_inner(rt, runtime, sink, stats, final)
+            self._flush_node_inner(rt, sink, stats, final)
             return
         prof.flushes += 1
         emitted_before = stats.flushed_entries
         started = time.perf_counter()
         try:
-            self._flush_node_inner(rt, runtime, sink, stats, final)
+            self._flush_node_inner(rt, sink, stats, final)
         finally:
             prof.flush_seconds += time.perf_counter() - started
             prof.rows_out += stats.flushed_entries - emitted_before
@@ -665,11 +833,14 @@ class SortScanEngine(Engine):
     def _flush_node_inner(
         self,
         rt: _RuntimeNode,
-        runtime: dict[str, _RuntimeNode],
         sink: Sink,
         stats: EvalStats,
         final: bool,
     ) -> None:
+        if rt.updater is not None and rt.updater.staged_entries():
+            # Staged segments: the table was drained into them.
+            self._flush_segments(rt, sink, stats, final)
+            return
         table = rt.table
         if not table:
             self._gc_parents(rt, final)
@@ -692,8 +863,11 @@ class SortScanEngine(Engine):
                 self._gc_parents(rt, final)
                 return
 
-        node = rt.node
+        name = rt.node.name
         capture_states = sink.wants_states and rt.kind == "basic"
+        finalize = rt.finalize
+        delivers = [delivery.deliver for delivery in rt.deliveries]
+        emitted = 0
         for key in ready:
             entry = table.pop(key)
             if rt.flushed_keys is not None:
@@ -701,18 +875,112 @@ class SortScanEngine(Engine):
             if capture_states:
                 # The entry *is* the accumulator state for basic nodes;
                 # hand it over before finalization (which never mutates).
-                sink.emit_state(node.name, key, entry)
-            emit, value = self._finalize_entry(rt, key, entry)
-            if not emit:
+                sink.emit_state(name, key, entry)
+            value = finalize(key, entry)
+            if value is _SKIP:
                 continue
-            stats.flushed_entries += 1
-            for name, out_filter in rt.outputs:
+            emitted += 1
+            for output, out_filter in rt.outputs:
                 if out_filter is None or out_filter(key, value):
-                    sink.emit(name, key, value)
-            for arc in rt.node.out_arcs:
-                self._propagate(arc, key, value, runtime)
-        del node
+                    sink.emit(output, key, value)
+            for deliver in delivers:
+                deliver(key, value)
+        stats.flushed_entries += emitted
         self._gc_parents(rt, final)
+
+    def _flush_segments(
+        self,
+        rt: _RuntimeNode,
+        sink: Sink,
+        stats: EvalStats,
+        final: bool,
+    ) -> None:
+        """Flush a basic node's staged segments as arrays.
+
+        Same observable sequence as the per-entry flush of the same
+        entries — ascending key order on every output and every arc —
+        but the entries exist only as key columns plus a state list.
+        """
+        columns, states = rt.updater.flush(
+            None if final else rt.checker.final_mask
+        )
+        count = len(states)
+        if not count:
+            return
+        name = rt.node.name
+        columnar = [d for d in rt.deliveries if d.columnar]
+        per_entry = [d.deliver for d in rt.deliveries if not d.columnar]
+        keys = None
+        if (
+            per_entry
+            or rt.outputs
+            or rt.flushed_keys is not None
+            or sink.wants_states
+        ):
+            keys = row_keys(columns, count)
+        if rt.flushed_keys is not None:
+            rt.flushed_keys.update(keys)
+        if sink.wants_states:
+            for key, state in zip(keys, states):
+                sink.emit_state(name, key, state)
+        finish = rt.node.agg.function.finalize
+        values = [finish(state) for state in states]
+        stats.flushed_entries += count
+        for output, out_filter in rt.outputs:
+            for key, value in zip(keys, values):
+                if out_filter is None or out_filter(key, value):
+                    sink.emit(output, key, value)
+        if columnar:
+            run = _as_column(values)
+            for delivery in columnar:
+                self._deliver_columns(delivery, columns, run)
+        for deliver in per_entry:
+            for key, value in zip(keys, values):
+                deliver(key, value)
+
+    @staticmethod
+    def _deliver_columns(delivery: _Delivery, columns: list, run) -> None:
+        """Carry a key-sorted run of entries across a lifting arc.
+
+        ``run`` holds the entries' values (:func:`_as_column`).  The
+        keys are lifted to the destination granularity as columns and
+        grouped with a stable sort, so each destination entry folds its
+        contributions in ascending source-key order — the order
+        :meth:`_Delivery.deliver` would have applied them one by one —
+        through one ``update_many``.
+        """
+        dst = delivery.dst
+        node = dst.node
+        agg = node.agg.function
+        count = len(run)
+        dst.touched = True
+        if dst.prof is not None:
+            dst.prof.rows_in += count
+        lifted = lift_columns(
+            node.granularity, delivery.arc.src.granularity, columns
+        )
+        key_dims = node.granularity.key_dims
+        spans, groups = [(0, count)], 1
+        if key_dims:
+            order, sorted_keys, starts, ends = sorted_runs(
+                [lifted[dim] for dim in key_dims], count
+            )
+            for dim, col in zip(key_dims, sorted_keys):
+                lifted[dim] = col[starts]
+            if isinstance(run, list):
+                run = [run[row] for row in order.tolist()]
+            else:
+                run = run[order]
+            spans, groups = zip(starts.tolist(), ends.tolist()), len(starts)
+        table = dst.table
+        flushed = dst.flushed_keys
+        for key, (start, end) in zip(row_keys(lifted, groups), spans):
+            if flushed is not None and key in flushed:
+                raise _late(key, repr(node.name))
+            state = table.get(key, _MISSING)
+            if state is _MISSING:
+                state = agg.create()
+            table[key] = agg.update_many(state, run[start:end])
 
     def _gc_parents(self, rt: _RuntimeNode, final: bool) -> None:
         if rt.parents is None or not rt.parents:
@@ -729,115 +997,3 @@ class SortScanEngine(Engine):
         ]
         for key in drop:
             del rt.parents[key]
-
-    def _finalize_entry(self, rt: _RuntimeNode, key: tuple, entry):
-        """Compute the output value; returns (emit?, value)."""
-        kind = rt.kind
-        agg = getattr(rt.node, "agg", None)
-        if kind in ("basic", "rollup"):
-            return True, agg.function.finalize(entry)
-        if kind == "match":
-            has_key, state = entry
-            if not has_key:
-                return False, None
-            return True, agg.function.finalize(state)
-        if kind == "pc-match":
-            has_key = entry[0]
-            if not has_key:
-                return False, None
-            node = rt.node
-            ancestor = node.cond.ancestor(
-                key,
-                node.granularity,
-                node.values_arc.src.granularity,
-            )
-            state = agg.function.create()
-            if ancestor in rt.parents:
-                state = agg.function.update(state, rt.parents[ancestor])
-            return True, agg.function.finalize(state)
-        if kind == "combine":
-            slots = entry
-            if slots[0] is _MISSING:
-                return False, None
-            args = [
-                slot if slot is not _MISSING else None for slot in slots
-            ]
-            return True, rt.node.fn(*args)
-        raise EvaluationError(f"unknown runtime kind {kind!r}")
-
-    def _propagate(
-        self, arc: Arc, key: tuple, value, runtime: dict[str, _RuntimeNode]
-    ) -> None:
-        if arc.filter is not None and not arc.filter(key, value):
-            return
-        dst = runtime[arc.dst.name]
-        dst.touched = True
-        if dst.prof is not None:
-            dst.prof.rows_in += 1
-        if (dst.flushed_keys is not None and arc.role != "values"
-                and key in dst.flushed_keys):
-            raise EvaluationError(
-                f"late update: {arc!r} delivered finalized key {key}"
-            )
-
-        if arc.role == "keys":
-            entry = dst.table.get(key)
-            if entry is None:
-                entry = [False, dst.node.agg.function.create()]
-                dst.table[key] = entry
-            entry[0] = True
-            return
-
-        if arc.role == "combine":
-            entry = dst.table.get(key)
-            if entry is None:
-                entry = [_MISSING] * dst.node.num_inputs
-                dst.table[key] = entry
-            entry[arc.index] = value
-            return
-
-        # values arcs --------------------------------------------------
-        node = dst.node
-        agg = node.agg.function
-        cond = arc.cond
-        if dst.kind == "rollup" or isinstance(cond, ChildParent):
-            out_key = node.granularity.lift_fn(arc.src.granularity)(key)
-            self._update_plain(dst, out_key, value, agg)
-            return
-        if isinstance(cond, SelfMatch):
-            self._update_match(dst, key, value, agg)
-            return
-        if isinstance(cond, ParentChild):
-            dst.parents[key] = value
-            return
-        if isinstance(cond, (Sibling, Lags)):
-            for out_key in cond.affected_keys(
-                key, node.granularity, arc.src.granularity
-            ):
-                self._update_match(dst, out_key, value, agg)
-            return
-        raise EvaluationError(f"unsupported condition {cond!r}")
-
-    @staticmethod
-    def _update_plain(dst: _RuntimeNode, key: tuple, value, agg) -> None:
-        if dst.flushed_keys is not None and key in dst.flushed_keys:
-            raise EvaluationError(
-                f"late update for finalized key {key} of {dst.node.name!r}"
-            )
-        table = dst.table
-        state = table.get(key, _MISSING)
-        if state is _MISSING:
-            state = agg.create()
-        table[key] = agg.update(state, value)
-
-    @staticmethod
-    def _update_match(dst: _RuntimeNode, key: tuple, value, agg) -> None:
-        if dst.flushed_keys is not None and key in dst.flushed_keys:
-            raise EvaluationError(
-                f"late update for finalized key {key} of {dst.node.name!r}"
-            )
-        entry = dst.table.get(key)
-        if entry is None:
-            entry = [False, agg.create()]
-            dst.table[key] = entry
-        entry[1] = agg.update(entry[1], value)

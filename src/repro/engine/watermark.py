@@ -47,6 +47,7 @@ from repro.engine.compile import (
     Node,
 )
 from repro.schema.dataset_schema import DatasetSchema
+from repro.storage.columnar import map_column, np
 
 
 class PredSpec:
@@ -273,6 +274,7 @@ class NodeChecker:
         "_signature",
         "_bound_steps",
         "_entry_steps",
+        "_column_steps",
         "never",
     )
 
@@ -286,10 +288,14 @@ class NodeChecker:
         self.never = not specs or any(not spec.parts for spec in specs)
         self._bound_steps = []
         self._entry_steps = []
+        #: Per spec, ``(dim, hierarchy, have, shift_level, amount,
+        #: level)`` — the array form of ``_entry_steps``.
+        self._column_steps = []
         dims = self.schema.dimensions
         for spec in specs:
             bound_steps = []
             entry_steps = []
+            column_steps = []
             for dim, level, scan_index, scan_level in spec.parts:
                 hierarchy = dims[dim].hierarchy
                 bound_steps.append(
@@ -304,11 +310,17 @@ class NodeChecker:
                 shift = spec.shifts.get(dim)
                 if shift is None:
                     entry_steps.append((dim, hierarchy.mapper(have, level)))
+                    column_steps.append(
+                        (dim, hierarchy, have, have, 0, level)
+                    )
                 else:
                     shift_level, amount = shift
                     if shift_level < have:
                         self.never = True
                         break
+                    column_steps.append(
+                        (dim, hierarchy, have, shift_level, amount, level)
+                    )
                     to_shift = hierarchy.mapper(have, shift_level)
                     from_shift = hierarchy.mapper(shift_level, level)
 
@@ -328,6 +340,7 @@ class NodeChecker:
                     entry_steps.append((dim, shifted))
             self._bound_steps.append(tuple(bound_steps))
             self._entry_steps.append(tuple(entry_steps))
+            self._column_steps.append(tuple(column_steps))
 
     def refresh(self, pos: tuple) -> bool:
         """Recompute bounds for the new scan position.
@@ -369,6 +382,39 @@ class NodeChecker:
             if not final:
                 return False
         return True
+
+    def final_mask(self, key_columns: Sequence, count: int):
+        """Array form of :meth:`is_final` over ``count`` entry keys.
+
+        ``key_columns[dim]`` is the int64 array of the keys' values at
+        dimension ``dim`` (only dimensions below ``D_ALL`` are read).
+        Element ``i`` of the returned boolean array equals
+        ``is_final`` of key ``i`` against the current bounds.
+        """
+        if self.never:
+            return np.zeros(count, dtype=bool)
+        final = None
+        for steps, bound in zip(self._column_steps, self.bounds):
+            # Strict lexicographic ``key < bound``, one component at a
+            # time: below at the first component that is not tied.
+            below = tied = None
+            for position, step in enumerate(steps):
+                dim, hierarchy, have, shift_level, amount, level = step
+                column = key_columns[dim]
+                if amount:
+                    column = map_column(
+                        hierarchy, have, shift_level, column
+                    ) + amount
+                    have = shift_level
+                column = map_column(hierarchy, have, level, column)
+                limit = bound[position]
+                if tied is None:
+                    below, tied = column < limit, column == limit
+                else:
+                    below |= tied & (column < limit)
+                    tied &= column == limit
+            final = below if final is None else final & below
+        return final
 
     def is_final_at_levels(
         self, key: tuple, key_levels: tuple[int, ...]

@@ -41,7 +41,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import AdmissionError, GranularityError, ServiceError
 from repro.obs import (
     get_registry,
     get_tracer,
@@ -425,7 +425,7 @@ class ClusterFrontend:
                 ]
                 status = 422
             return status, payload, None
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, GranularityError) as exc:
             return 400, {"error": f"bad request: {exc}"}, None
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("unhandled error on %s", route)

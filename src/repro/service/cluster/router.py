@@ -307,7 +307,7 @@ class MeasureCluster:
         with get_tracer().span(
             "cluster:point", cat="cluster", measure=measure
         ):
-            self._granularity_of(measure)
+            self._granularity_of(measure).check_key(key)
             owner = self.shard_map.owner_of_value(
                 self._lift(measure)(key)
             )

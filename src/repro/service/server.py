@@ -35,7 +35,7 @@ from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ServiceError
+from repro.errors import GranularityError, ServiceError
 from repro.aggregates.base import get_aggregate
 from repro.cube.granularity import Granularity
 from repro.obs import (
@@ -237,7 +237,7 @@ class MeasureService:
             get_tracer().span("query:point", cat="query", measure=measure) as span,
             self._lock,
         ):
-            self._output(measure)
+            self.granularity_of(measure).check_key(key)
             cached, hit = self._cache_get(measure, ("point", key))
             if hit:
                 span.set(cache="hit")
@@ -402,22 +402,33 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         ).labels(route=route).inc()
 
     def _send(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._status_sent = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self._send_obs_headers()
-        self.end_headers()
-        self.wfile.write(body)
+        self._stage_reply(
+            json.dumps(payload).encode("utf-8"), "application/json", status
+        )
 
     def _send_text(self, text: str, status: int = 200) -> None:
-        body = text.encode("utf-8")
-        self._status_sent = status
-        self.send_response(status)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._stage_reply(
+            text.encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
+            status,
         )
+
+    def _stage_reply(
+        self, body: bytes, content_type: str, status: int
+    ) -> None:
+        """Hold the response until :meth:`_handle` has observed the
+        request: a client holding its answer can then rely on the
+        access-log entry having been written."""
+        self._status_sent = status
+        self._reply = (body, content_type, status)
+
+    def _transmit_reply(self) -> None:
+        reply, self._reply = self._reply, None
+        if reply is None:
+            return
+        body, content_type, status = reply
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self._send_obs_headers()
         self.end_headers()
@@ -449,7 +460,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         Joins (or starts) the caller's distributed trace, runs the
         route handler under the request context and an ``http:`` span,
         then folds the finished request into the server's
-        :class:`~repro.obs.reqlog.RequestObserver`.
+        :class:`~repro.obs.reqlog.RequestObserver` and only then puts
+        the staged response on the wire — whatever the observer does.
+        The logged latency and the ``http:`` span therefore end before
+        the response is written; they cover routing and the handler.
         """
         route = self._route()
         self._ctx = new_context(
@@ -457,6 +471,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             request_id=self.headers.get("X-Request-Id") or "",
         )
         self._status_sent = 200
+        self._reply = None
         started = time.perf_counter()
         try:
             with use_context(self._ctx), get_tracer().span(
@@ -464,15 +479,18 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             ):
                 inner(route)
         finally:
-            observer = getattr(self.server, "observer", None)
-            if observer is not None:
-                observer.observe(
-                    route=route,
-                    method=method,
-                    status=self._status_sent,
-                    seconds=time.perf_counter() - started,
-                    ctx=self._ctx,
-                )
+            try:
+                observer = getattr(self.server, "observer", None)
+                if observer is not None:
+                    observer.observe(
+                        route=route,
+                        method=method,
+                        status=self._status_sent,
+                        seconds=time.perf_counter() - started,
+                        ctx=self._ctx,
+                    )
+            finally:
+                self._transmit_reply()
 
     def _healthz(self) -> None:
         """Liveness plus the store facts a probe can alert on."""
@@ -588,6 +606,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._send({"error": f"unknown route {route!r}"}, 404)
         except KeyError as exc:
             self._send({"error": f"missing parameter: {exc}"}, 400)
+        except GranularityError as exc:
+            self._send({"error": f"bad request: {exc}"}, 400)
         except ServiceError as exc:
             self._send({"error": str(exc)}, 404)
         except Exception as exc:  # pragma: no cover - defensive

@@ -8,7 +8,8 @@ parallel columns (numpy arrays when numpy is importable, plain lists
 otherwise), datasets yield batches via ``Dataset.scan_batches``, and
 the helpers here vectorize the two per-record operations engines
 actually perform — key generalization (:func:`map_column`,
-:func:`key_columns`) and group segmentation (:func:`group_runs`).
+:func:`key_columns`, :func:`lift_columns`) and group segmentation
+(:func:`sorted_runs`, :func:`group_runs`).
 
 Everything is gated on ``HAVE_NUMPY``: without numpy the engines fall
 back to their row-at-a-time scalar loops, so numpy stays an optional
@@ -256,19 +257,17 @@ def key_columns(
 # -- group segmentation ------------------------------------------------
 
 
-def group_runs(
+def sorted_runs(
     keys: Sequence[Any], length: int
 ) -> tuple[Any, list[Any], Any, Any]:
-    """Stable grouping of a batch by its key arrays.
+    """Stable grouping of rows by their key arrays, runs in key order.
 
     Returns ``(order, sorted_keys, starts, ends)`` where ``order`` is a
     stable permutation gathering equal keys into contiguous runs,
     ``sorted_keys`` are the key arrays under that permutation, and
-    ``starts[j]:ends[j]`` is run ``j`` *in first-appearance order* —
-    the order in which the scalar loop would first see each key.
-    Stability gives both guarantees at once: rows within a run stay in
-    scan order, and ``order[start]`` is each run's first original row
-    index, so sorting runs by it recovers appearance order.
+    ``starts[j]:ends[j]`` is run ``j`` in ascending key order — the
+    order ``sorted()`` gives the corresponding region-key tuples.
+    Stability keeps the rows within a run in their original order.
     """
     order = np.lexsort(tuple(reversed(list(keys))))
     sorted_keys = [key[order] for key in keys]
@@ -277,6 +276,59 @@ def group_runs(
     for key in sorted_keys:
         change[1:] |= key[1:] != key[:-1]
     starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], length)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = length
+    return order, sorted_keys, starts, ends
+
+
+def group_runs(
+    keys: Sequence[Any], length: int
+) -> tuple[Any, list[Any], Any, Any]:
+    """:func:`sorted_runs` with the runs in *first-appearance order* —
+    the order in which a row-at-a-time loop would first see each key.
+
+    ``order[start]`` is each run's first original row index (the
+    grouping is stable), so sorting runs by it recovers appearance
+    order.
+    """
+    order, sorted_keys, starts, ends = sorted_runs(keys, length)
     appearance = np.argsort(order[starts], kind="stable")
     return order, sorted_keys, starts[appearance], ends[appearance]
+
+
+def lift_columns(
+    coarse: "Granularity", fine: "Granularity", columns: Sequence[Any]
+) -> list[Any]:
+    """Vectorized :meth:`Granularity.lift_fn`: per-dimension key arrays
+    at ``fine`` generalized to ``coarse``.
+
+    ``columns`` has one entry per dimension (``None`` where ``fine`` is
+    at ``D_ALL``); so has the result, with ``None`` for every dimension
+    ``coarse`` puts at ``D_ALL``.
+    """
+    lifted: list[Any] = []
+    for i, dim in enumerate(coarse.schema.dimensions):
+        level = coarse.levels[i]
+        if level == dim.all_level:
+            lifted.append(None)
+        else:
+            lifted.append(
+                map_column(
+                    dim.hierarchy, fine.levels[i], level, columns[i]
+                )
+            )
+    return lifted
+
+
+def row_keys(columns: Sequence[Any], length: int) -> list[tuple]:
+    """Full-width region-key tuples of plain Python ints from
+    per-dimension key arrays (``None`` = the constant ``ALL_VALUE``)."""
+    return list(
+        zip(
+            *[
+                [ALL_VALUE] * length if col is None else col.tolist()
+                for col in columns
+            ]
+        )
+    )

@@ -174,3 +174,86 @@ def test_sort_scan_cascade_cap_respected_batched(
     ).evaluate(dataset, wf)
     for name in wf.outputs():
         assert scalar[name].rows == batched[name].rows
+
+
+def test_staged_segments_straddling_a_cascade_fold_in_scan_order(
+    syn_schema,
+):
+    """A region open at a cascade is stored, rejoins the next staging
+    as a leading pseudo-row, and keeps folding in scan order: the float
+    sum equals the left-to-right scalar sum, and final segments never
+    enter the table.  Held rows that no cascade follows fold into the
+    table like any batch."""
+    pytest.importorskip("numpy")
+    from repro.engine.batch import BasicBatchUpdater
+    from repro.engine.compile import compile_workflow
+    from repro.storage.columnar import RecordBatch, row_keys
+
+    wf = AggregationWorkflow(syn_schema, name="straddle")
+    wf.basic("total", {"d0": "d0.L0"}, agg=("sum", "v"))
+    node = compile_workflow(wf).nodes[0]
+    table: dict = {}
+    updater = BasicBatchUpdater(node, table)
+    first = [(1, 0, 0, 0.1), (2, 0, 0, 0.2), (2, 1, 0, 0.7)]
+    second = [(2, 2, 0, 1e-17), (2, 3, 0, 0.4), (3, 0, 0, 0.5)]
+
+    def below(limit):
+        return lambda columns, count: columns[0] < limit
+
+    updater.stage(RecordBatch.from_records(syn_schema, first))
+    assert updater.staged_entries() == 2 and not table
+    columns, states = updater.flush(below(2))
+    assert row_keys(columns, len(states)) == [(1, 0, 0)]
+    assert states == [0.1]
+    assert table == {(2, 0, 0): 0.2 + 0.7}
+
+    updater.stage(RecordBatch.from_records(syn_schema, second))
+    assert updater.staged_entries() == 2
+    assert not table  # drained into the grouping
+    columns, states = updater.flush(None)
+    assert row_keys(columns, len(states)) == [(2, 0, 0), (3, 0, 0)]
+    assert states == [((0.2 + 0.7) + 1e-17) + 0.4, 0.5]
+    assert all(type(state) is float for state in states)  # not numpy
+
+    updater.stage(RecordBatch.from_records(syn_schema, first))
+    updater.apply(RecordBatch.from_records(syn_schema, second))
+    assert updater.staged_entries() == 0
+    assert table == {
+        (1, 0, 0): 0.1,
+        (2, 0, 0): ((0.2 + 0.7) + 1e-17) + 0.4,
+        (3, 0, 0): 0.5,
+    }
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 50, 4096])
+def test_null_carrying_batches_between_vector_batches(
+    syn_schema, batch_size
+):
+    """Batches holding a NULL measure stay list-backed and take the
+    per-record fallback; staged segments of the vector batches around
+    them must be stored first, not overwritten."""
+    import random
+
+    rng = random.Random(5)
+    dataset = InMemoryDataset(
+        syn_schema,
+        [
+            (
+                rng.randrange(16),  # ~37 rows a region: long enough to stage
+                rng.randrange(64),
+                rng.randrange(64),
+                None if i % 37 == 0 else rng.random(),
+            )
+            for i in range(600)
+        ],
+    )
+    wf = AggregationWorkflow(syn_schema, name="nulls")
+    wf.basic("s", {"d0": "d0.L0", "d1": "d1.L1"}, agg=("sum", "v"))
+    wf.basic("c", {"d0": "d0.L0"}, agg="count")
+    wf.rollup("up", {"d0": "d0.L1"}, source="s", agg="sum")
+    scalar = SortScanEngine(batch_size=0).evaluate(dataset, wf)
+    batched = SortScanEngine(
+        batch_size=batch_size, assert_no_late_updates=True
+    ).evaluate(dataset, wf)
+    for name in wf.outputs():
+        assert scalar[name].rows == batched[name].rows, name

@@ -1,5 +1,7 @@
 """Tests for the finalization-bound (watermark) machinery."""
 
+import random
+
 import pytest
 
 from repro.errors import PlanError
@@ -15,6 +17,7 @@ from repro.engine.watermark import (
 )
 from repro.cube.granularity import Granularity
 from repro.schema.dataset_schema import synthetic_schema
+from repro.storage.columnar import HAVE_NUMPY, np
 from repro.workflow.workflow import AggregationWorkflow
 
 
@@ -147,3 +150,92 @@ class TestNodeChecker:
         assert checker.never
         checker.refresh((5,))
         assert not checker.is_final((0, 0))
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="array form requires numpy")
+class TestFinalMask:
+    """``final_mask`` is ``is_final`` over key columns, key by key."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return synthetic_schema(num_dimensions=3, levels=3, fanout=4)
+
+    def workflow(self, schema):
+        wf = AggregationWorkflow(schema)
+        wf.basic("fine", {"d0": "d0.L0", "d1": "d1.L0"})
+        wf.basic("lifted", {"d0": "d0.L1", "d2": "d2.L0"})
+        wf.basic("uncovered", {"d1": "d1.L0"})
+        wf.rollup("up", {"d0": "d0.L1"}, source="fine", agg="sum")
+        wf.moving_window(
+            "win", {"d0": "d0.L0", "d1": "d1.L0"}, source="fine",
+            windows={"d0": (1, 2)},
+        )
+        wf.moving_window(
+            "win_up", {"d0": "d0.L1"}, source="up",
+            windows={"d0": (0, 1)}, agg="avg",
+        )
+        return wf
+
+    def assert_mask_matches(self, checker, node, rng):
+        levels = node.granularity.levels
+        dims = node.schema.dimensions
+        keys = [
+            tuple(
+                0 if level == dim.all_level
+                else rng.randrange(dim.hierarchy.level_cardinality(level))
+                for dim, level in zip(dims, levels)
+            )
+            for __ in range(200)
+        ]
+        columns = [
+            None if level == dim.all_level
+            else np.array([key[i] for key in keys], dtype=np.int64)
+            for i, (dim, level) in enumerate(zip(dims, levels))
+        ]
+        mask = checker.final_mask(columns, len(keys))
+        assert mask.dtype == bool
+        assert mask.tolist() == [checker.is_final(key) for key in keys]
+        return mask
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [(0, 0), (1, 0), (2, 0)],
+            [(0, 1), (1, 0)],
+            [(1, 0), (0, 0)],
+            [(2, 1)],
+        ],
+        ids=["schema-order", "coarse-lead", "swapped", "other-dim"],
+    )
+    def test_equals_is_final_for_every_node(self, wide, parts):
+        graph = compile_workflow(self.workflow(wide))
+        sort_key = SortKey(wide, parts)
+        specs = build_node_specs(graph, sort_key)
+        rng = random.Random(7)
+        shifted = flushed = 0
+        for node in graph.nodes:
+            checker = NodeChecker(node, specs[node.name])
+            shifted += any(spec.shifts for spec in specs[node.name])
+            for __ in range(12):
+                record = tuple(rng.randrange(64) for __ in range(3))
+                checker.refresh(sort_key.record_mapper()(record + (0.0,)))
+                mask = self.assert_mask_matches(checker, node, rng)
+                flushed += int(mask.sum())
+                if checker.never:
+                    assert not mask.any()
+        assert flushed  # the comparison saw final and open keys alike
+        if parts[0][0] == 0:
+            assert shifted  # ... and shifted specs
+
+    def test_strict_at_the_bound(self, schema):
+        wf = AggregationWorkflow(schema)
+        wf.basic("cnt", {"d0": "d0.L0"})
+        graph = compile_workflow(wf)
+        node = graph.nodes[0]
+        specs = build_node_specs(graph, SortKey(schema, [(0, 0)]))
+        checker = NodeChecker(node, specs[node.name])
+        checker.refresh((5,))
+        mask = checker.final_mask(
+            [np.array([4, 5, 6], dtype=np.int64), None], 3
+        )
+        assert mask.tolist() == [True, False, False]

@@ -170,6 +170,11 @@ class TestClusterRoutes:
         assert status == 404
         assert "unknown measure" in data["error"]
 
+    def test_wrong_width_region_key_is_400(self, served):
+        status, data = served.request("GET", "/point?measure=Total&key=0,0")
+        assert status == 400
+        assert "one per dimension" in data["error"]
+
     def test_tenants_route_requires_tenant_mode(self, served):
         status, data = served.request("GET", "/tenants")
         assert status == 404

@@ -8,7 +8,8 @@ merged from per-shard partials.
 
 import pytest
 
-from repro.errors import ClusterError
+from repro.errors import ClusterError, GranularityError
+from repro.schema.domain import ALL_VALUE
 from repro.service.cluster import (
     MeasureCluster,
     bootstrap_cluster,
@@ -64,7 +65,12 @@ class TestBootstrapEquivalence:
         cluster.resolve()
         # 999 is far past every cut: routed (open outer edge) to the
         # last shard, which has no such region.
-        assert cluster.point("MedV", (999,), default=-1) == -1
+        missing = (999, ALL_VALUE, ALL_VALUE)
+        assert cluster.point("MedV", missing, default=-1) == -1
+
+    def test_wrong_width_key_is_rejected_not_absent(self, cluster):
+        with pytest.raises(GranularityError, match="1 components"):
+            cluster.point("MedV", (999,), default=-1)
 
     def test_range_merges_disjoint_shard_rows_in_key_order(
         self, cluster, syn_schema, cluster_workflow, records

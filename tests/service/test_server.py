@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import GranularityError, ServiceError
 from repro.engine.sort_scan import SortScanEngine
 from repro.service import MeasureService, MeasureStore, make_server
 from repro.storage.table import InMemoryDataset
@@ -48,6 +48,14 @@ class TestReads:
     def test_unknown_measure(self, service):
         with pytest.raises(ServiceError, match="unknown measure"):
             service.point("nope", (0, 0, 0))
+
+    def test_wrong_width_key_is_rejected_not_absent(self, service):
+        """A 2-wide key on the 3-dimension schema names no region: it
+        is a caller error, never a ``None``/default answer."""
+        with pytest.raises(GranularityError, match="2 components"):
+            service.point("Count", (0, 0))
+        with pytest.raises(GranularityError, match="4 components"):
+            service.point("Count", (0, 0, 0, 0), default=-1)
 
     def test_rollup_on_read(self, service, syn_schema):
         rolled = service.rollup("Count", {"d0": "d0.L1"}, agg="sum")
@@ -243,6 +251,12 @@ class TestHTTPEndpoint:
             self._get(f"{http}/point?measure=Count&key=one,two")
         assert excinfo.value.code == 404
         assert "malformed region key" in self._error_body(excinfo)
+
+    def test_wrong_width_region_key_is_400(self, http):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._get(f"{http}/point?measure=Count&key=0,0")
+        assert excinfo.value.code == 400
+        assert "one per dimension" in self._error_body(excinfo)
 
     def test_unknown_route_is_404(self, http):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

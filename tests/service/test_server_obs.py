@@ -25,7 +25,7 @@ def _tracer_isolation():
 
 
 @pytest.fixture()
-def served(tmp_path, service_workflow):
+def server(tmp_path, service_workflow):
     store = MeasureStore(str(tmp_path / "store"))
     svc = MeasureService(store, service_workflow)
     svc.bootstrap(make_records(600, seed=51))
@@ -38,10 +38,15 @@ def served(tmp_path, service_workflow):
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    port = server.server_address[1]
-    yield f"http://127.0.0.1:{port}", str(tmp_path / "access.log")
+    yield server
     shutdown_gracefully(server)
     server.server_close()
+
+
+@pytest.fixture()
+def served(server, tmp_path):
+    port = server.server_address[1]
+    return f"http://127.0.0.1:{port}", str(tmp_path / "access.log")
 
 
 def _get(url, headers=None):
@@ -134,6 +139,21 @@ class TestAccessLog:
         assert by_route["/stats"]["request_id"]
         assert by_route["/stats"]["duration_ms"] >= 0
         assert by_route["/nope"]["status"] == 404
+
+    def test_response_is_sent_even_if_the_observer_fails(
+        self, server, served
+    ):
+        """The reply is staged until the request has been observed; an
+        observer error must not swallow it."""
+
+        def broken(**fields):
+            raise OSError("access log unwritable")
+
+        server.observer.observe = broken
+        server.handle_error = lambda request, address: None  # quiet
+        url, __ = served
+        status, stats, __ = _get(f"{url}/stats")
+        assert status == 200 and stats["generation"] >= 1
 
     def test_metrics_include_latency_histogram_and_slo(self, served):
         url, __ = served

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cube.granularity import Granularity
 from repro.schema.dataset_schema import synthetic_schema
+from repro.schema.domain import ALL_VALUE
 from repro.storage.columnar import (
     HAVE_NUMPY,
     RecordBatch,
@@ -13,8 +14,11 @@ from repro.storage.columnar import (
     default_batch_size,
     group_runs,
     key_columns,
+    lift_columns,
     map_column,
     resolve_batch_size,
+    row_keys,
+    sorted_runs,
 )
 from repro.storage.flatfile import FlatFileDataset, write_flatfile
 from repro.storage.table import InMemoryDataset
@@ -198,6 +202,52 @@ class TestGroupRuns:
             for s, e in zip(starts, ends)
         }
         assert runs == {1: [10.0, 20.0, 40.0], 0: [30.0]}
+
+
+@needs_numpy
+class TestSortedRunsAndLifts:
+    def test_runs_come_in_key_order(self, schema):
+        import numpy as np
+
+        keys = [
+            np.array([2, 1, 2, 1, 2], dtype=np.int64),
+            np.array([0, 5, 0, 3, 1], dtype=np.int64),
+        ]
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        order, sorted_keys, starts, ends = sorted_runs(keys, 5)
+        seen = [
+            (int(sorted_keys[0][s]), int(sorted_keys[1][s]))
+            for s in starts
+        ]
+        assert seen == sorted({(2, 0), (1, 5), (1, 3), (2, 1)})
+        # Stable: the two (2, 0) rows keep their scan order.
+        run = seen.index((2, 0))
+        assert values[order][starts[run] : ends[run]].tolist() == [1.0, 3.0]
+
+    def test_lift_columns_matches_lift_fn(self, schema):
+        import numpy as np
+
+        all_level = schema.dimensions[1].all_level
+        fine = Granularity(schema, [0, 1, all_level])
+        coarse = Granularity(schema, [1, all_level, all_level])
+        columns = [
+            np.arange(0, 64, 7, dtype=np.int64),
+            np.arange(10, dtype=np.int64),
+            None,
+        ]
+        lifted = lift_columns(coarse, fine, columns)
+        assert lifted[1] is None and lifted[2] is None
+        lift = coarse.lift_fn(fine)
+        assert row_keys(lifted, 10) == [
+            lift(key) for key in row_keys(columns, 10)
+        ]
+
+    def test_row_keys_are_plain_full_width_tuples(self, schema):
+        import numpy as np
+
+        keys = row_keys([np.array([3, 4], dtype=np.int64), None, None], 2)
+        assert keys == [(3, ALL_VALUE, ALL_VALUE), (4, ALL_VALUE, ALL_VALUE)]
+        assert all(type(part) is int for key in keys for part in key)
 
 
 class TestScanBatches:
