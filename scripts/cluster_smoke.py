@@ -7,6 +7,11 @@ answering correctly (the router respawns the worker transparently).
 Exits non-zero on any failed request, any wrong answer, or a missed
 respawn — no green-by-silence.
 
+A second leg drives the same front end over one *plain* store, the way
+an operator does: ``python -m repro serve --store DIR`` as a
+subprocess, a few reads and an ingest over HTTP, then SIGINT — which
+must exit 0 and leave no deferred (dirty) measure on disk.
+
 Run from the repository root:
 
     PYTHONPATH=src python scripts/cluster_smoke.py
@@ -18,12 +23,17 @@ import asyncio
 import http.client
 import json
 import random
+import re
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
 import time
+import urllib.parse
 
 from repro.schema.dataset_schema import synthetic_schema
+from repro.service import MeasureService, MeasureStore
 from repro.service.cluster import ClusterFrontend, bootstrap_cluster
 from repro.workflow.workflow import AggregationWorkflow
 
@@ -95,7 +105,7 @@ class _Traffic(threading.Thread):
                     key = self.rng.randrange(16)
                     _request(
                         self.host, self.port, "GET",
-                        f"/point?measure=Total&key={key}",
+                        f"/point?measure=Total&key={key},0,0",
                     )
                 else:
                     _request(
@@ -107,7 +117,84 @@ class _Traffic(threading.Thread):
             self.error = exc
 
 
+def plain_store_leg() -> int:
+    """``repro serve --store <plain store>``: reads, rollup, health,
+    and a SIGINT that flushes deferred work before exiting 0."""
+    rng = random.Random(11)
+    schema = synthetic_schema(3, 3, 4)
+    workflow = _workflow(schema)
+    # Holistic, and without d0: deferred on ingest, and a shape no
+    # cluster could partition — only a plain store serves it.
+    workflow.basic("MedV", {"d1": "d1.L1"}, agg=("median", "v"))
+    with tempfile.TemporaryDirectory(prefix="plain-smoke-") as root:
+        path = f"{root}/store"
+        MeasureService(MeasureStore(path), workflow).bootstrap(
+            _records(rng, BOOTSTRAP)
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--store", path, "--port", "0"],
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            match = None
+            for banner in server.stderr:  # ends when serve exits
+                match = re.search(
+                    r"http://([\d.]+):(\d+) \(routes: (.*)\)", banner
+                )
+                if match is not None:
+                    break
+            if match is None:
+                print("FAIL: serve exited without a serving banner")
+                return 1
+            host, port = match.group(1), int(match.group(2))
+            if "GET /rollup" not in match.group(3):
+                print(f"FAIL: banner does not list /rollup: {banner!r}")
+                return 1
+            print(f"serving plain store on {host}:{port}")
+            point = _request(
+                host, port, "GET", "/point?measure=Total&key=0,0,0"
+            )
+            spec = urllib.parse.quote(json.dumps({"d0": "d0.L2"}))
+            rollup = _request(
+                host, port, "GET", f"/rollup?measure=Count&spec={spec}"
+            )
+            expected = _request(host, port, "GET", "/table?measure=sCount")
+            if point["value"] is None or rollup["rows"] != expected["rows"]:
+                print(f"FAIL: wrong answer: {point} / {rollup['rows'][:3]}")
+                return 1
+            report = _request(
+                host, port, "POST", "/ingest",
+                {"records": _records(rng, DELTA)},
+            )
+            health = _request(host, port, "GET", "/healthz")
+            if report["deferred_measures"] != ["MedV"] or health[
+                "dirty_measures"
+            ] != ["MedV"]:
+                print(f"FAIL: nothing deferred: {report} / {health}")
+                return 1
+            server.send_signal(signal.SIGINT)
+            code = server.wait(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        if code != 0:
+            print(f"FAIL: serve exited {code} on SIGINT")
+            return 1
+        dirty = MeasureStore(path).dirty_measures()
+        if dirty:
+            print(f"FAIL: dirty measures left on disk: {sorted(dirty)}")
+            return 1
+    print("plain-store smoke ok")
+    return 0
+
+
 def main() -> int:
+    return cluster_leg() or plain_store_leg()
+
+
+def cluster_leg() -> int:
     rng = random.Random(7)
     schema = synthetic_schema(3, 3, 4)
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as root:

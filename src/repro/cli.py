@@ -455,9 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=0, metavar="N",
-        help="serve a sharded cluster directory over the asyncio "
-        "frontend (0 = legacy threaded single-store server); the "
-        "cluster must exist (repro ingest --shards N)",
+        help="serve a sharded cluster directory (0 = whatever --store "
+        "holds: a cluster is detected, anything else is one plain "
+        "store); the cluster must exist (repro ingest --shards N)",
     )
     serve.add_argument(
         "--mode", choices=("local", "process"), default="local",
@@ -1381,51 +1381,13 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import MeasureService, MeasureStore, make_server
-    from repro.service.cluster import ClusterManifest
-    from repro.service.server import shutdown_gracefully
-
-    # A directory that is already a cluster is served by the shard
-    # router's async frontend without re-passing --shards.
-    if (
-        args.shards
-        or args.tenants
-        or ClusterManifest.exists(args.store)
-    ):
-        return _cmd_serve_cluster(args)
-    store = MeasureStore(args.store)
-    service = MeasureService(store, _store_workflow(store, args.query))
-    server = make_server(
-        service,
-        host=args.host,
-        port=args.port,
-        allow_pickle_workflows=args.allow_pickle_workflows,
-        access_log_path=args.access_log,
-        slow_query_path=args.slow_query_log,
-        slow_query_seconds=args.slow_query_seconds,
-    )
-    host, port = server.server_address[:2]
-    logger.info(
-        "serving %s on http://%s:%s (routes: /measures /point /range "
-        "/table /stats /metrics /healthz /statusz, POST /ingest "
-        "/workflow)",
-        args.store, host, port,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        logger.info("interrupt: draining in-flight requests")
-    finally:
-        shutdown_gracefully(server)
-    return 0
-
-
-def _cmd_serve_cluster(args) -> int:
-    """``repro serve --shards N [--tenants]`` — the asyncio frontend."""
+    """``repro serve`` — pick the backend, serve it on the frontend."""
     import asyncio
 
+    from repro.service import MeasureService, MeasureStore
     from repro.service.cluster import (
         ClusterFrontend,
+        ClusterManifest,
         TenantManager,
         open_cluster,
     )
@@ -1442,7 +1404,9 @@ def _cmd_serve_cluster(args) -> int:
             ),
         )
         what = f"tenant root {args.store}"
-    else:
+    elif args.shards or ClusterManifest.exists(args.store):
+        # A directory that is already a cluster is served through the
+        # shard router without re-passing --shards.
         backend = open_cluster(
             args.store,
             _cluster_workflow(args.store, args.query),
@@ -1452,6 +1416,12 @@ def _cmd_serve_cluster(args) -> int:
             f"cluster {args.store} "
             f"({backend.num_shards} shards, {args.mode} mode)"
         )
+    else:
+        store = MeasureStore(args.store)
+        backend = MeasureService(
+            store, _store_workflow(store, args.query)
+        )
+        what = f"store {args.store}"
 
     async def run() -> None:
         frontend = ClusterFrontend(
@@ -1465,10 +1435,9 @@ def _cmd_serve_cluster(args) -> int:
         )
         await frontend.start()
         logger.info(
-            "serving %s on http://%s:%s (async; routes: /measures "
-            "/point /range /table /rollup /stats /metrics /healthz "
-            "/statusz, POST /ingest /workflow)",
+            "serving %s on http://%s:%s (routes: %s)",
             what, frontend.host, frontend.port,
+            frontend.describe_routes(),
         )
         try:
             await frontend.serve_forever()

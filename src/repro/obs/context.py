@@ -7,8 +7,8 @@ defines that identity — :class:`TraceContext` — and the plumbing that
 moves it around:
 
 - **W3C-style encoding**: :meth:`TraceContext.traceparent` renders the
-  ``00-<trace>-<span>-01`` header accepted and emitted by both HTTP
-  front ends, so an external caller's trace continues through us;
+  ``00-<trace>-<span>-01`` header accepted and emitted by the HTTP
+  front end, so an external caller's trace continues through us;
 - **contextvars propagation**: :func:`current_context` /
   :func:`use_context` track the active context per thread *and* per
   asyncio task; spans opened while a context is active allocate a

@@ -1,6 +1,6 @@
 """Structured request logging: access log, slow-query log, observer.
 
-Every HTTP request served by either front end produces one structured
+Every HTTP request served by the front end produces one structured
 **access-log** entry (JSON lines): route, method, status, tenant,
 request/trace ids, duration, shard fan-out count, and executor queue
 wait.  Requests slower than a threshold additionally produce a
@@ -168,7 +168,7 @@ def _stage_timings(trace_id: str, limit: int = 40) -> list[dict]:
 
 
 class RequestObserver:
-    """One-stop per-request accounting shared by both HTTP servers.
+    """One-stop per-request accounting of the HTTP front end.
 
     Folds one finished request into: the access log, the per-route /
     per-tenant latency histogram, the SLO tracker, and — when the

@@ -1,6 +1,6 @@
 """Named query families — the declarative workflow encoding.
 
-The CLI and both HTTP front ends resolve workflows by *name* through
+The CLI and the HTTP front end resolve workflows by *name* through
 this registry: a client says ``{"query": "escalation"}`` and the
 trusted server-side builder constructs the workflow, instead of the
 client shipping a pickled workflow object (unpickling attacker-chosen

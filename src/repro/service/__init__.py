@@ -11,12 +11,15 @@ layers:
   aggregate-state *merging* for distributive/algebraic measures and
   dirty-region lazy recompute for holistic ones;
 - :mod:`repro.service.server` — a thread-safe query layer with an LRU
-  cache and a stdlib-only JSON/HTTP front end.
+  cache.
+
+:mod:`repro.service.cluster` shards the same layers and holds the one
+JSON/HTTP front end (stdlib asyncio), which serves a plain store too.
 """
 
 from repro.service.store import MeasureStore, StoreCommit, StoreSink
 from repro.service.ingest import IngestReport, Ingestor, load_workflow
-from repro.service.server import MeasureService, make_server
+from repro.service.server import MeasureService
 
 __all__ = [
     "MeasureStore",
@@ -26,5 +29,4 @@ __all__ = [
     "IngestReport",
     "load_workflow",
     "MeasureService",
-    "make_server",
 ]

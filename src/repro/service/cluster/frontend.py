@@ -1,19 +1,25 @@
-"""Asyncio HTTP front end for the sharded, multi-tenant service.
+"""Asyncio HTTP front end: the one HTTP server of the measure service.
 
-The legacy front end (:mod:`repro.service.server`) spends one OS
-thread per connection; this one holds thousands of concurrent
-keep-alive connections on a single event loop and runs the actual
-measure work on a small, bounded executor pool — connection count and
-worker parallelism are decoupled.
+One route table serves any of three backends — a
+:class:`~repro.service.server.MeasureService` (one plain store), a
+:class:`~repro.service.cluster.router.MeasureCluster`, or a
+:class:`~repro.service.cluster.tenancy.TenantManager`.  The read and
+write routes call the methods the three share (``point``, ``range``,
+``table``, ``rollup``, ``measures``, ``stats``); what differs per
+backend is a method the backend answers: ``health``, ``status_fields``,
+``ingest_reply``, ``pull_telemetry``, ``resolve``/``close`` and the
+tenant questions (``tenants``, ``tenant_scope``, ``tenant_label``,
+``submit_workflow``).
 
-Routes mirror the legacy server byte-for-byte where they overlap
-(``/metrics``, ``/measures``, ``/stats``, ``/point``, ``/range``,
-``/table``, ``/ingest``, ``/workflow``) and add ``/rollup``,
-``/healthz``, and ``/tenants``.  In tenant mode every data route takes
-a ``tenant`` query parameter (default ``"default"``); admission
-rejections surface as HTTP 429 with the structured
-:class:`~repro.errors.AdmissionError` payload, the admission-control
-mirror of the 422 lint-rejection body.
+The front end holds thousands of concurrent keep-alive connections on
+a single event loop and runs the actual measure work on a small,
+bounded executor pool — connection count and worker parallelism are
+decoupled.
+
+With a tenant manager every data route takes a ``tenant`` query
+parameter (default ``"default"``); admission rejections surface as
+HTTP 429 with the structured :class:`~repro.errors.AdmissionError`
+payload, the admission-control mirror of the 422 lint-rejection body.
 
 ``POST /workflow`` takes the workflow as a *named query family*
 (``{"query": "escalation"}``, resolved through
@@ -24,9 +30,9 @@ on loopback binds, elsewhere only when the server was started with
 ``allow_pickle_workflows=True`` (``repro serve
 --allow-pickle-workflows``); otherwise they are refused with 403.
 
-Shutdown is graceful: stop accepting, cancel idle keep-alive waits,
-drain requests already executing, then resolve deferred work so every
-store MANIFEST on disk is final before the process exits.
+Shutdown is graceful: stop accepting, drain requests already
+executing, then resolve deferred work so every store MANIFEST on disk
+is final before the process exits.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import os
 import pickle
 import time
 from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import AdmissionError, GranularityError, ServiceError
@@ -60,11 +67,14 @@ from repro.obs.reqlog import (
 from repro.obs.slo import DEFAULT_OBJECTIVES, SLOTracker, parse_objectives
 from repro.obs.trace import events_for_trace
 from repro.queries.registry import QUERY_FAMILIES, build_query_workflow
-from repro.service.cluster.router import MeasureCluster
-from repro.service.cluster.tenancy import TenantManager
-from repro.service.server import LOOPBACK_HOSTS, _parse_key
 
 logger = logging.getLogger("repro.service.cluster")
+
+#: Bind hosts whose clients are local processes.  Pickled workflow
+#: submissions (arbitrary code execution by construction) are accepted
+#: from these by default; any other bind needs the operator's explicit
+#: ``allow_pickle_workflows`` opt-in.
+LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
 
 #: Seconds an idle keep-alive connection may sit between requests.
 IDLE_TIMEOUT = 30.0
@@ -75,6 +85,10 @@ REQUEST_TIMEOUT = 120.0
 
 _MAX_HEADER_BYTES = 65536
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: The one parametric route; its label stands for every trace id.
+_TRACE_PREFIX = "/debug/trace/"
+_TRACE_ROUTE = "/debug/trace/:id"
 
 
 class _HTTPError(Exception):
@@ -98,46 +112,30 @@ def _slo_objectives(objectives):
     return parse_objectives(spec) if spec else DEFAULT_OBJECTIVES
 
 
-def cluster_health(cluster: MeasureCluster) -> dict:
-    """Structured liveness snapshot of one cluster (``/healthz``).
+def _parse_key(text: str) -> tuple:
+    """Parse ``"3,0,7"`` into a region-key tuple of ints."""
+    if not text:
+        return ()
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ServiceError(
+            f"malformed region key {text!r}; expected comma-separated "
+            "integers"
+        ) from None
 
-    ``status`` is ``"ok"`` (serving, all workers alive), ``"degraded"``
-    (serving, but a worker is dead pending respawn-on-next-call), or
-    ``"fenced"`` (an aborted ingest left the journal pending; reads and
-    writes refuse until recovery).
-    """
-    from repro.service.cluster.manifest import IngestJournal
 
-    shards = [
-        {
-            "shard": shard.index,
-            "alive": bool(shard.alive),
-            "respawns": getattr(shard, "respawns", 0),
-        }
-        for shard in cluster.shards
-    ]
-    if cluster.failed:
-        status = "fenced"
-    elif all(entry["alive"] for entry in shards):
-        status = "ok"
-    else:
-        status = "degraded"
-    return {
-        "status": status,
-        "mode": cluster.mode,
-        "epoch": cluster.epoch,
-        "fenced": cluster.failed,
-        "journal_pending": IngestJournal.load(cluster.root) is not None,
-        "shards": shards,
-    }
+def _rows(pairs) -> list:
+    return [[list(key), value] for key, value in pairs]
 
 
 class ClusterFrontend:
-    """Serve a :class:`MeasureCluster` or :class:`TenantManager`."""
+    """Serve a :class:`MeasureService`, a :class:`MeasureCluster` or a
+    :class:`TenantManager` over HTTP."""
 
     def __init__(
         self,
-        backend: MeasureCluster | TenantManager,
+        backend,
         host: str = "127.0.0.1",
         port: int = 0,
         executor_threads: int = 8,
@@ -150,7 +148,6 @@ class ClusterFrontend:
         self.backend = backend
         self.host = host
         self.port = port
-        self._tenants = isinstance(backend, TenantManager)
         # None = decide from the bind: unpickling a request body runs
         # arbitrary client code, so outside loopback it takes the
         # operator's explicit opt-in.
@@ -211,13 +208,8 @@ class ClusterFrontend:
 
     def _final_flush(self) -> None:
         """Resolve deferred work so on-disk MANIFESTs are final."""
-        if self._tenants:
-            for name in self.backend.tenants():
-                self.backend.cluster(name).resolve()
-            self.backend.close()
-        else:
-            self.backend.resolve()
-            self.backend.close()
+        self.backend.resolve()
+        self.backend.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -241,13 +233,8 @@ class ClusterFrontend:
                 ):
                     return
                 except asyncio.LimitOverrunError:
-                    await self._respond(
-                        writer, 431,
-                        {"error": "request headers too large"},
-                        close=True,
-                    )
-                    return
-                if len(head) > _MAX_HEADER_BYTES:
+                    head = None
+                if head is None or len(head) > _MAX_HEADER_BYTES:
                     await self._respond(
                         writer, 431,
                         {"error": "request headers too large"},
@@ -272,13 +259,17 @@ class ClusterFrontend:
         try:
             try:
                 method, target, headers = self._parse_head(head)
+                length = int(headers.get("content-length") or 0)
+                if length < 0:
+                    raise ValueError(length)
             except ValueError:
+                # The body's extent is unknown, so the connection
+                # cannot be reused for a next request.
                 await self._respond(
                     writer, 400, {"error": "malformed request"},
                     close=True,
                 )
                 return False
-            length = int(headers.get("content-length", 0) or 0)
             if length > _MAX_BODY_BYTES:
                 await self._respond(
                     writer, 413, {"error": "request body too large"},
@@ -299,15 +290,11 @@ class ClusterFrontend:
                 headers.get("traceparent"),
                 request_id=headers.get("x-request-id", ""),
             )
-            status, payload, text = await self._dispatch(
+            status, payload = await self._dispatch(
                 method, target, body, ctx
             )
             await self._respond(
-                writer, status, payload, text=text, close=close,
-                extra_headers={
-                    "X-Request-Id": ctx.request_id,
-                    "traceparent": ctx.traceparent(),
-                },
+                writer, status, payload, close=close, ctx=ctx
             )
             return not close
         except (
@@ -337,40 +324,29 @@ class ClusterFrontend:
         self,
         writer,
         status: int,
-        payload: dict | None,
-        text: str | None = None,
+        payload: dict | str,
         close: bool = False,
-        extra_headers: dict | None = None,
+        ctx=None,
     ) -> None:
-        if text is not None:
-            body = text.encode("utf-8")
+        if isinstance(payload, str):  # the /metrics exposition
+            body = payload.encode("utf-8")
             ctype = "text/plain; version=0.0.4; charset=utf-8"
         else:
             body = json.dumps(payload).encode("utf-8")
             ctype = "application/json"
-        reason = {
-            200: "OK",
-            400: "Bad Request",
-            403: "Forbidden",
-            404: "Not Found",
-            405: "Method Not Allowed",
-            413: "Payload Too Large",
-            422: "Unprocessable Entity",
-            429: "Too Many Requests",
-            431: "Request Header Fields Too Large",
-            500: "Internal Server Error",
-            503: "Service Unavailable",
-        }.get(status, "Status")
-        extras = "".join(
-            f"{name}: {value}\r\n"
-            for name, value in (extra_headers or {}).items()
+        reason = HTTPStatus(status).phrase
+        correlation = (
+            f"X-Request-Id: {ctx.request_id}\r\n"
+            f"traceparent: {ctx.traceparent()}\r\n"
+            if ctx is not None
+            else ""
         )
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: {ctype}\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                f"{extras}"
+                f"{correlation}"
                 f"Connection: {'close' if close else 'keep-alive'}\r\n"
                 "\r\n"
             ).encode("latin-1")
@@ -382,40 +358,63 @@ class ClusterFrontend:
 
     async def _dispatch(self, method: str, target: str, body: bytes, ctx):
         split = urlsplit(target)
-        route = split.path.rstrip("/") or "/"
+        path = split.path.rstrip("/") or "/"
         params = {
             name: values[-1]
             for name, values in parse_qs(split.query).items()
         }
+        # Metric labels come from the route table and the tenant
+        # registry, never from the request: clients must not be able
+        # to mint series.
+        route = path
+        if path.startswith(_TRACE_PREFIX):
+            route = _TRACE_ROUTE
+            params["id"] = path.rsplit("/", 1)[-1]
+        handler = self._ROUTES.get((method, route))
+        if handler is None:
+            route = "unmatched"
         self._requests.labels(route=route).inc()
         started = time.perf_counter()
-        status, payload, text = await self._execute(
-            method, route, params, body, ctx
+        status, payload = await self._execute(
+            handler, method, route, path, params, body, ctx
         )
-        self._observe_request(
-            method, route, params, status, payload,
-            time.perf_counter() - started, ctx,
-        )
-        return status, payload, text
+        try:
+            self.observer.observe(
+                route=route,
+                method=method,
+                status=status,
+                seconds=time.perf_counter() - started,
+                ctx=ctx,
+                tenant=self.backend.tenant_label(params.get("tenant")),
+                error=payload.get("error") if status >= 400 else None,
+            )
+        except Exception:
+            # The answer is owed whatever the bookkeeping does.
+            logger.exception("request observer failed on %s", route)
+        return status, payload
 
-    async def _execute(self, method, route, params, body, ctx):
+    async def _execute(
+        self, handler, method, route, path, params, body, ctx
+    ):
+        if handler is None:
+            if method not in {known for known, __ in self._ROUTES}:
+                return 405, {"error": f"method {method} not allowed"}
+            return 404, {"error": f"unknown route {path!r}"}
         loop = asyncio.get_running_loop()
         try:
-            work = self._work_for(method, route, params, body)
+            work = handler(self, params, body)
             traced = self._traced(work, method, route, params, ctx)
             result = await asyncio.wait_for(
                 loop.run_in_executor(self._executor, traced),
                 timeout=REQUEST_TIMEOUT,
             )
-            if route == "/metrics":
-                return 200, None, result
-            return 200, result, None
+            return 200, result
         except _HTTPError as exc:
-            return exc.status, exc.payload, None
+            return exc.status, exc.payload
         except asyncio.TimeoutError:
-            return 503, {"error": "request timed out"}, None
+            return 503, {"error": "request timed out"}
         except AdmissionError as exc:
-            return 429, exc.payload, None
+            return 429, exc.payload
         except ServiceError as exc:
             payload: dict = {"error": str(exc)}
             status = 404 if method == "GET" else 400
@@ -424,12 +423,12 @@ class ClusterFrontend:
                     d.to_dict() for d in exc.diagnostics
                 ]
                 status = 422
-            return status, payload, None
+            return status, payload
         except (KeyError, ValueError, TypeError, GranularityError) as exc:
-            return 400, {"error": f"bad request: {exc}"}, None
+            return 400, {"error": f"bad request: {exc}"}
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("unhandled error on %s", route)
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
     def _traced(self, work, method, route, params, ctx):
         """Wrap one request thunk with the observability envelope.
@@ -469,80 +468,33 @@ class ClusterFrontend:
         if not tracing_enabled() or ctx.stats.fanout == 0:
             return
         try:
-            cluster = self._cluster_for(params)
-            cluster.pull_telemetry()
+            self._scope(params).pull_telemetry()
         except Exception:  # pragma: no cover - defensive
             logger.debug("post-request telemetry pull failed", exc_info=True)
 
-    def _observe_request(
-        self, method, route, params, status, payload, seconds, ctx
-    ) -> None:
-        error = None
-        if status >= 400 and isinstance(payload, dict):
-            error = payload.get("error")
-        self.observer.observe(
-            route=route,
-            method=method,
-            status=status,
-            seconds=seconds,
-            ctx=ctx,
-            tenant=params.get(
-                "tenant", "default" if self._tenants else "-"
-            ),
-            error=error,
-        )
+    def _scope(self, params: dict):
+        """What answers this request's reads (its tenant's cluster)."""
+        return self.backend.tenant_scope(params.get("tenant"))
 
-    def _cluster_for(self, params: dict):
-        if not self._tenants:
-            return self.backend
-        return self.backend.cluster(params.get("tenant", "default"))
+    # -- route handlers ------------------------------------------------
+    # Each takes (params, body), runs on the event loop, raises for
+    # what it can refuse without blocking, and returns the blocking
+    # thunk that the executor runs.
 
-    def _work_for(self, method: str, route: str, params: dict, body: bytes):
-        """Build the blocking thunk for one request (raises for 404s)."""
-        if method == "GET":
-            return self._get_work(route, params)
-        if method == "POST":
-            return self._post_work(route, params, body)
-        raise _HTTPError(
-            405, {"error": f"method {method} not allowed"}
-        )
-
-    def _pull_all_telemetry(self) -> None:
-        """Absorb worker-process spans and metric samples into this
-        process — per tenant cluster in tenant mode, so process-mode
-        tenants' shard telemetry reaches the exported registry too."""
-        if self._tenants:
-            for name in self.backend.tenants():
-                self.backend.cluster(name).pull_telemetry()
-        else:
-            self.backend.pull_telemetry()
-
-    def _health(self) -> dict:
-        if not self._tenants:
-            return cluster_health(self.backend)
-        tenants = {
-            name: cluster_health(self.backend.cluster(name))
-            for name in self.backend.tenants()
-        }
-        status = "ok"
-        for health in tenants.values():
+    def _healthz(self, params: dict, body: bytes):
+        def healthz():
+            health = self.backend.health()
             if health["status"] == "fenced":
-                status = "fenced"
-                break
-            if health["status"] != "ok":
-                status = "degraded"
-        return {"status": status, "tenants": tenants}
+                # A fenced cluster refuses reads and writes; tell the
+                # load balancer the truth instead of a hollow 200.
+                raise _HTTPError(503, health)
+            return health
+        return healthz
 
-    def _health_work(self) -> dict:
-        health = self._health()
-        if health["status"] == "fenced":
-            # A fenced cluster refuses reads and writes; tell the load
-            # balancer the truth instead of a hollow 200.
-            raise _HTTPError(503, health)
-        return health
-
-    def _statusz(self) -> dict:
-        status = {
+    def _statusz(self, params: dict, body: bytes):
+        # ``status_fields`` comes last so that a backend may rename the
+        # service without moving the field.
+        return lambda: {
             "service": "repro-cluster-frontend",
             "time": round(time.time(), 3),
             "started": round(self._started_wall, 3),
@@ -552,130 +504,110 @@ class ClusterFrontend:
             "host": self.host,
             "port": self.port,
             "tracing": tracing_enabled(),
-            "health": self._health(),
+            "health": self.backend.health(),
             "slow_query_threshold_seconds": (
                 self.slow_log.threshold_seconds
             ),
             "slow_queries": self.slow_log.recent(),
             "slo": self.slo.status(),
-        }
-        if self._tenants:
-            status["tenants"] = self.backend.stats()
-            # Cross-tenant sharing findings (CSM4xx): redundant tenant
-            # dashboards show up here with estimated savings attached.
-            status["workload"] = self.backend.workload_sharing_stats()
-        return status
-
-    def _debug_trace(self, trace_id: str) -> dict:
-        self._pull_all_telemetry()
-        events = events_for_trace(get_tracer().events, trace_id)
-        if not events:
-            raise _HTTPError(
-                404, {"error": f"no recorded events for trace "
-                      f"{trace_id!r} (is tracing enabled?)"}
-            )
-        return {
-            "trace_id": trace_id,
-            "events": events,
-            "tree": render_span_tree(events),
+            **self.backend.status_fields(),
         }
 
-    def _get_work(self, route: str, params: dict):
-        if route == "/healthz":
-            return self._health_work
-        if route == "/statusz":
-            return self._statusz
-        if route.startswith("/debug/trace/"):
-            trace_id = route.rsplit("/", 1)[-1]
-            return lambda: self._debug_trace(trace_id)
-        if route == "/metrics":
-            def metrics():
-                self._pull_all_telemetry()
-                self.slo.export(get_registry())
-                return get_registry().render_prometheus()
-            return metrics
-        if route == "/tenants":
-            if not self._tenants:
+    def _debug_trace(self, params: dict, body: bytes):
+        trace_id = params["id"]
+
+        def debug_trace():
+            self.backend.pull_telemetry()
+            events = events_for_trace(get_tracer().events, trace_id)
+            if not events:
                 raise _HTTPError(
-                    404, {"error": "not running in tenant mode"}
+                    404, {"error": f"no recorded events for trace "
+                          f"{trace_id!r} (is tracing enabled?)"}
                 )
-            return lambda: {"tenants": self.backend.tenants()}
-        if route == "/stats":
-            if self._tenants and "tenant" not in params:
-                return self.backend.stats
-            cluster = self._cluster_for(params)
-            return cluster.stats
-        if route == "/measures":
-            cluster = self._cluster_for(params)
-            return lambda: {"measures": cluster.measures()}
-        if route == "/point":
-            cluster = self._cluster_for(params)
-            measure = params["measure"]
-            key = _parse_key(params["key"])
-            return lambda: {
-                "measure": measure,
-                "key": list(key),
-                "value": cluster.point(measure, key),
+            return {
+                "trace_id": trace_id,
+                "events": events,
+                "tree": render_span_tree(events),
             }
-        if route == "/range":
-            cluster = self._cluster_for(params)
-            measure = params["measure"]
-            prefix = _parse_key(params.get("prefix", ""))
-            return lambda: {
-                "measure": measure,
-                "prefix": list(prefix),
-                "rows": [
-                    [list(key), value]
-                    for key, value in cluster.range(measure, prefix)
-                ],
-            }
-        if route == "/table":
-            cluster = self._cluster_for(params)
-            measure = params["measure"]
-            def table():
-                result = cluster.table(measure)
-                return {
-                    "measure": measure,
-                    "levels": list(result.granularity.levels),
-                    "rows": [
-                        [list(key), value]
-                        for key, value in result.items()
-                    ],
-                }
-            return table
-        if route == "/rollup":
-            cluster = self._cluster_for(params)
-            measure = params["measure"]
-            spec = json.loads(params.get("spec", "{}"))
-            agg = params.get("agg", "sum")
-            def rollup():
-                result = cluster.rollup(measure, spec, agg=agg)
-                return {
-                    "measure": measure,
-                    "agg": agg,
-                    "levels": list(result.granularity.levels),
-                    "rows": [
-                        [list(key), value]
-                        for key, value in result.items()
-                    ],
-                }
-            return rollup
-        raise _HTTPError(404, {"error": f"unknown route {route!r}"})
+        return debug_trace
 
-    def _post_work(self, route: str, params: dict, body: bytes):
-        if route == "/ingest":
-            data = json.loads(body or b"{}")
-            records = [tuple(record) for record in data["records"]]
-            if self._tenants:
-                tenant = params.get(
-                    "tenant", data.get("tenant", "default")
-                )
-                return lambda: self.backend.ingest(tenant, records)
-            return lambda: self.backend.ingest(records)
-        if route == "/workflow":
-            data = json.loads(body or b"{}")
-            return lambda: self._post_workflow(params, data)
-        raise _HTTPError(404, {"error": f"unknown route {route!r}"})
+    def _metrics(self, params: dict, body: bytes):
+        def metrics():
+            self.backend.pull_telemetry()
+            self.slo.export(get_registry())
+            return get_registry().render_prometheus()
+        return metrics
+
+    def _tenant_list(self, params: dict, body: bytes):
+        return lambda: {"tenants": self.backend.tenants()}
+
+    def _stats(self, params: dict, body: bytes):
+        if "tenant" in params:
+            return self._scope(params).stats
+        return self.backend.stats
+
+    def _measures(self, params: dict, body: bytes):
+        scope = self._scope(params)
+        return lambda: {"measures": scope.measures()}
+
+    def _point(self, params: dict, body: bytes):
+        scope = self._scope(params)
+        measure = params["measure"]
+        key = _parse_key(params["key"])
+        return lambda: {
+            "measure": measure,
+            "key": list(key),
+            "value": scope.point(measure, key),
+        }
+
+    def _range(self, params: dict, body: bytes):
+        scope = self._scope(params)
+        measure = params["measure"]
+        prefix = _parse_key(params.get("prefix", ""))
+        return lambda: {
+            "measure": measure,
+            "prefix": list(prefix),
+            "rows": _rows(scope.range(measure, prefix)),
+        }
+
+    def _table(self, params: dict, body: bytes):
+        scope = self._scope(params)
+        measure = params["measure"]
+
+        def table():
+            result = scope.table(measure)
+            return {
+                "measure": measure,
+                "levels": list(result.granularity.levels),
+                "rows": _rows(result.items()),
+            }
+        return table
+
+    def _rollup(self, params: dict, body: bytes):
+        scope = self._scope(params)
+        measure = params["measure"]
+        spec = json.loads(params.get("spec", "{}"))
+        agg = params.get("agg", "sum")
+
+        def rollup():
+            result = scope.rollup(measure, spec, agg=agg)
+            return {
+                "measure": measure,
+                "agg": agg,
+                "levels": list(result.granularity.levels),
+                "rows": _rows(result.items()),
+            }
+        return rollup
+
+    def _ingest(self, params: dict, body: bytes):
+        data = json.loads(body or b"{}")
+        records = [tuple(record) for record in data["records"]]
+        tenant = params.get("tenant", data.get("tenant"))
+        return lambda: self.backend.ingest_reply(records, tenant)
+
+    def _workflow(self, params: dict, body: bytes):
+        data = json.loads(body or b"{}")
+        return lambda: self._post_workflow(params, data)
 
     def _decode_workflow(self, data: dict):
         """Resolve the submitted workflow: named family, or gated pickle."""
@@ -707,11 +639,11 @@ class ClusterFrontend:
         return pickle.loads(base64.b64decode(blob))
 
     def _post_workflow(self, params: dict, data: dict) -> dict:
-        """Validate a workflow; in tenant mode, optionally register it.
+        """Validate a workflow; a tenant manager may also register it.
 
-        Mirrors the legacy 422 contract for lint rejections and adds
-        the 429 admission contract: analysis first, then the footprint
-        gate, then (when ``records`` are supplied) tenant bootstrap.
+        Analysis first (422 with the error-level diagnostics on a lint
+        rejection), then whatever the backend adds: the footprint gate
+        (429) and, when ``records`` are supplied, tenant bootstrap.
         """
         from repro.analysis import analyze
 
@@ -724,18 +656,36 @@ class ClusterFrontend:
                 f"analysis ({len(report.errors)} error(s))"
             )
             raise _HTTPError(422, payload)
-        if not self._tenants:
-            return payload
-        tenant = params.get("tenant", data.get("tenant"))
-        if tenant is None:
-            return payload
         records = [tuple(r) for r in data.get("records", [])]
-        dataset_size = data.get("dataset_size", len(records) or None)
-        payload["estimate"] = self.backend.admit_workflow(
-            tenant, workflow, dataset_size=dataset_size
+        payload.update(
+            self.backend.submit_workflow(
+                workflow,
+                params.get("tenant", data.get("tenant")),
+                records,
+                data.get("dataset_size", len(records) or None),
+            )
         )
-        if records:
-            state = self.backend.register(tenant, workflow, records)
-            payload["tenant"] = tenant
-            payload["epoch"] = state.cluster.epoch
         return payload
+
+    #: The one route table.  Its keys are the ``route`` label of every
+    #: request metric, the 404/405 answers and :meth:`describe_routes`.
+    _ROUTES = {
+        ("GET", "/measures"): _measures,
+        ("GET", "/point"): _point,
+        ("GET", "/range"): _range,
+        ("GET", "/table"): _table,
+        ("GET", "/rollup"): _rollup,
+        ("GET", "/stats"): _stats,
+        ("GET", "/tenants"): _tenant_list,
+        ("GET", "/metrics"): _metrics,
+        ("GET", "/healthz"): _healthz,
+        ("GET", "/statusz"): _statusz,
+        ("GET", _TRACE_ROUTE): _debug_trace,
+        ("POST", "/ingest"): _ingest,
+        ("POST", "/workflow"): _workflow,
+    }
+
+    @classmethod
+    def describe_routes(cls) -> str:
+        """The route table in one line, for the startup log."""
+        return " ".join(f"{method} {route}" for method, route in cls._ROUTES)

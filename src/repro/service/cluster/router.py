@@ -72,6 +72,7 @@ from repro.service.cluster.worker import (
     ShardWorker,
 )
 from repro.service.ingest import load_workflow, reject_invalid_workflow
+from repro.service.server import SingleTenant
 from repro.service.store import MeasureStore
 from repro.storage.table import MeasureTable
 from repro.testkit.failpoints import fire, register
@@ -108,7 +109,7 @@ def _load_root_workflow(root: str, workflow=None):
     return workflow
 
 
-class MeasureCluster:
+class MeasureCluster(SingleTenant):
     """A sharded measure service behind one client-facing object.
 
     Construct via :func:`bootstrap_cluster` (new data) or
@@ -252,6 +253,37 @@ class MeasureCluster:
                     for name in s["dirty_measures"]
                 }
             ),
+        }
+
+    def health(self) -> dict:
+        """Structured liveness snapshot (the ``/healthz`` body).
+
+        ``status`` is ``"ok"`` (serving, all workers alive),
+        ``"degraded"`` (serving, but a worker is dead pending
+        respawn-on-next-call), or ``"fenced"`` (an aborted ingest left
+        the journal pending; reads and writes refuse until recovery).
+        """
+        shards = [
+            {
+                "shard": shard.index,
+                "alive": bool(shard.alive),
+                "respawns": getattr(shard, "respawns", 0),
+            }
+            for shard in self.shards
+        ]
+        if self._failed:
+            status = "fenced"
+        elif all(entry["alive"] for entry in shards):
+            status = "ok"
+        else:
+            status = "degraded"
+        return {
+            "status": status,
+            "mode": self.mode,
+            "epoch": self.epoch,
+            "fenced": self._failed,
+            "journal_pending": IngestJournal.load(self.root) is not None,
+            "shards": shards,
         }
 
     # -- routing helpers -----------------------------------------------

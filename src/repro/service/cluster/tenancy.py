@@ -185,6 +185,83 @@ class TenantManager:
     def cluster(self, name: str) -> MeasureCluster:
         return self.get(name).cluster
 
+    def _clusters(self) -> list[tuple[str, MeasureCluster]]:
+        with self._lock:
+            return [
+                (name, state.cluster)
+                for name, state in sorted(self._tenants.items())
+            ]
+
+    # -- the HTTP front end's backend calls ----------------------------
+    # MeasureService and MeasureCluster answer the same ones.
+
+    def tenant_scope(self, tenant: str | None) -> MeasureCluster:
+        """The cluster that answers reads for ``tenant``."""
+        return self.cluster(tenant or "default")
+
+    def tenant_label(self, tenant: str | None) -> str:
+        """The ``tenant`` label of a request's metric series: only a
+        registered name gets its own, so clients cannot mint series."""
+        if tenant is None:
+            return "default"
+        return tenant if tenant in self._tenants else "unknown"
+
+    def health(self) -> dict:
+        """Every tenant cluster's health and the worst status of all."""
+        tenants = {
+            name: cluster.health() for name, cluster in self._clusters()
+        }
+        worst = max(
+            (health["status"] for health in tenants.values()),
+            key=("ok", "degraded", "fenced").index,
+            default="ok",
+        )
+        return {"status": worst, "tenants": tenants}
+
+    def status_fields(self) -> dict:
+        """This backend's part of ``/statusz``: per-tenant stats and
+        the cross-tenant sharing findings (CSM4xx), so redundant tenant
+        dashboards show up with estimated savings attached."""
+        return {
+            "tenants": self.stats(),
+            "workload": self.workload_sharing_stats(),
+        }
+
+    def ingest_reply(self, records, tenant: str | None = None) -> dict:
+        """The ``POST /ingest`` body of an admission-checked ingest."""
+        return self.ingest(tenant or "default", records)
+
+    def submit_workflow(
+        self, workflow, tenant, records, dataset_size
+    ) -> dict:
+        """The tenant half of ``POST /workflow``: the footprint gate,
+        then (when ``records`` are supplied) the tenant bootstrap."""
+        if tenant is None:
+            return {}
+        reply: dict = {
+            "estimate": self.admit_workflow(
+                tenant, workflow, dataset_size=dataset_size
+            )
+        }
+        if records:
+            state = self.register(tenant, workflow, records)
+            reply["tenant"] = tenant
+            reply["epoch"] = state.cluster.epoch
+        return reply
+
+    def pull_telemetry(self) -> None:
+        """Absorb every tenant cluster's worker telemetry, so
+        process-mode tenants reach the exported registry too."""
+        for __, cluster in self._clusters():
+            cluster.pull_telemetry()
+
+    def resolve(self) -> bool:
+        """Force deferred recomputes in every tenant cluster."""
+        # A list, not a generator: every cluster resolves.
+        return any(
+            [cluster.resolve() for __, cluster in self._clusters()]
+        )
+
     # -- admission control ---------------------------------------------
 
     def _reject(self, error: AdmissionError) -> AdmissionError:
@@ -375,11 +452,9 @@ class TenantManager:
         an analyzer failure degrades to an ``error`` field rather than
         failing the status endpoint.
         """
-        with self._lock:
-            workflows = {
-                name: state.cluster.workflow
-                for name, state in sorted(self._tenants.items())
-            }
+        workflows = {
+            name: cluster.workflow for name, cluster in self._clusters()
+        }
         summary: dict = {
             "tenants": len(workflows),
             "codes": [],

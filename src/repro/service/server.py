@@ -18,36 +18,23 @@ with the operations a long-lived serving process needs:
 
 All public methods are thread-safe (one reentrant lock; the store's
 commit protocol makes mutations atomic anyway, the lock just
-serializes cache bookkeeping and resolution).  A minimal JSON/HTTP
-front end built on the stdlib ``ThreadingHTTPServer`` is provided by
-:func:`make_server` — no third-party dependencies.
+serializes cache bookkeeping and resolution).  Over HTTP the service
+is one of the three backends of
+:class:`~repro.service.cluster.frontend.ClusterFrontend`.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-import logging
-import pickle
+import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import GranularityError, ServiceError
+from repro.errors import ServiceError
 from repro.aggregates.base import get_aggregate
 from repro.cube.granularity import Granularity
-from repro.obs import (
-    get_registry,
-    get_tracer,
-    new_context,
-    render_span_tree,
-    tracing_enabled,
-    use_context,
-)
+from repro.obs import get_registry, get_tracer
 from repro.obs.metrics import (
-    HTTP_REQUESTS,
     QUERY_CACHE_HITS,
     QUERY_CACHE_MISSES,
     QUERY_SECONDS,
@@ -55,23 +42,45 @@ from repro.obs.metrics import (
     STORE_GENERATION,
     STORE_SEGMENTS,
 )
-from repro.obs.reqlog import RequestLog, RequestObserver, SlowQueryLog
-from repro.obs.slo import SLOTracker
-from repro.obs.trace import events_for_trace
 from repro.storage.table import MeasureTable
 from repro.service.ingest import IngestReport, Ingestor, load_workflow
 from repro.service.store import MeasureStore
 
-logger = logging.getLogger("repro.service")
 
-#: Bind hosts whose clients are local processes.  Pickled workflow
-#: submissions (arbitrary code execution by construction) are accepted
-#: from these by default; any other bind needs the operator's explicit
-#: ``allow_pickle_workflows`` opt-in.
-LOOPBACK_HOSTS = frozenset({"127.0.0.1", "::1", "localhost"})
+class SingleTenant:
+    """The tenant questions of the HTTP front end, answered by a
+    backend that is one namespace (a store or a cluster): the
+    ``tenant`` request parameter selects nothing, and the tenant-only
+    routes refuse."""
+
+    def tenants(self) -> list[str]:
+        raise ServiceError("not running in tenant mode")
+
+    def tenant_scope(self, tenant: str | None):
+        """The object that answers reads for ``tenant``."""
+        return self
+
+    def tenant_label(self, tenant: str | None) -> str:
+        """The ``tenant`` label of a request's metric series."""
+        return "-"
+
+    def submit_workflow(
+        self, workflow, tenant, records, dataset_size
+    ) -> dict:
+        """Nothing beyond validation: ``POST /workflow`` registers
+        workflows only with a tenant manager."""
+        return {}
+
+    def ingest_reply(self, records, tenant: str | None = None) -> dict:
+        """The ``POST /ingest`` body: the backend's own ingest report."""
+        return self.ingest(records)
+
+    def status_fields(self) -> dict:
+        """The backend's part of ``/statusz``: no per-tenant fields."""
+        return {}
 
 
-class MeasureService:
+class MeasureService(SingleTenant):
     """Thread-safe query front end over one measure store.
 
     Args:
@@ -104,6 +113,7 @@ class MeasureService:
         self.graph = self.ingestor.graph
         self.cache_size = cache_size
         self._lock = threading.RLock()
+        self._opened = time.monotonic()
         self._caches: dict[str, OrderedDict] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -359,420 +369,32 @@ class MeasureService:
                 ),
             }
 
+    # -- the HTTP front end's backend calls ----------------------------
+    # MeasureCluster and TenantManager answer the same ones.
 
-# -- HTTP front end ----------------------------------------------------
-
-
-def _parse_key(text: str) -> tuple:
-    """Parse ``"3,0,7"`` into a region-key tuple of ints."""
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ServiceError(
-            f"malformed region key {text!r}; expected comma-separated "
-            "integers"
-        ) from None
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """JSON request handler; one route per MeasureService read."""
-
-    server_version = "ReproMeasureService/1"
-    protocol_version = "HTTP/1.1"
-    # Per-connection socket timeout: a client that stops sending mid
-    # request (or holds a keep-alive connection idle) releases its
-    # handler thread instead of pinning it forever.
-    timeout = 30.0
-
-    @property
-    def service(self) -> MeasureService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002
-        """Route access logs to the ``repro.service`` logger (debug)."""
-        logger.debug("%s - %s", self.address_string(), format % args)
-
-    def _count_request(self, route: str) -> None:
-        get_registry().counter(
-            HTTP_REQUESTS,
-            "HTTP requests served, by route",
-            labelnames=("route",),
-        ).labels(route=route).inc()
-
-    def _send(self, payload: dict, status: int = 200) -> None:
-        self._stage_reply(
-            json.dumps(payload).encode("utf-8"), "application/json", status
-        )
-
-    def _send_text(self, text: str, status: int = 200) -> None:
-        self._stage_reply(
-            text.encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8",
-            status,
-        )
-
-    def _stage_reply(
-        self, body: bytes, content_type: str, status: int
-    ) -> None:
-        """Hold the response until :meth:`_handle` has observed the
-        request: a client holding its answer can then rely on the
-        access-log entry having been written."""
-        self._status_sent = status
-        self._reply = (body, content_type, status)
-
-    def _transmit_reply(self) -> None:
-        reply, self._reply = self._reply, None
-        if reply is None:
-            return
-        body, content_type, status = reply
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self._send_obs_headers()
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_obs_headers(self) -> None:
-        """Stamp the correlation id and trace parent on every reply."""
-        ctx = getattr(self, "_ctx", None)
-        if ctx is not None:
-            self.send_header("X-Request-Id", ctx.request_id)
-            self.send_header("traceparent", ctx.traceparent())
-
-    def _params(self) -> dict:
-        query = parse_qs(urlsplit(self.path).query)
-        return {name: values[-1] for name, values in query.items()}
-
-    def _route(self) -> str:
-        return urlsplit(self.path).path.rstrip("/") or "/"
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._handle("GET", self._do_get)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST", self._do_post)
-
-    def _handle(self, method: str, inner) -> None:
-        """Observability envelope shared by GET and POST.
-
-        Joins (or starts) the caller's distributed trace, runs the
-        route handler under the request context and an ``http:`` span,
-        then folds the finished request into the server's
-        :class:`~repro.obs.reqlog.RequestObserver` and only then puts
-        the staged response on the wire — whatever the observer does.
-        The logged latency and the ``http:`` span therefore end before
-        the response is written; they cover routing and the handler.
-        """
-        route = self._route()
-        self._ctx = new_context(
-            self.headers.get("traceparent"),
-            request_id=self.headers.get("X-Request-Id") or "",
-        )
-        self._status_sent = 200
-        self._reply = None
-        started = time.perf_counter()
-        try:
-            with use_context(self._ctx), get_tracer().span(
-                f"http:{route}", cat="http", method=method
-            ):
-                inner(route)
-        finally:
-            try:
-                observer = getattr(self.server, "observer", None)
-                if observer is not None:
-                    observer.observe(
-                        route=route,
-                        method=method,
-                        status=self._status_sent,
-                        seconds=time.perf_counter() - started,
-                        ctx=self._ctx,
-                    )
-            finally:
-                self._transmit_reply()
-
-    def _healthz(self) -> None:
-        """Liveness plus the store facts a probe can alert on."""
-        stats = self.service.stats()
-        self._send(
-            {
-                "status": "ok",
-                "generation": stats["generation"],
-                "facts": stats["facts"],
-                "dirty_measures": stats["dirty_measures"],
-                "uptime_seconds": self._uptime(),
-            }
-        )
-
-    def _uptime(self) -> float:
-        started = getattr(self.server, "started_mono", None)
-        if started is None:
-            return 0.0
-        return round(time.monotonic() - started, 3)
-
-    def _statusz(self) -> None:
-        payload = {
-            "service": "repro-measure-service",
-            "time": round(time.time(), 3),
-            "uptime_seconds": self._uptime(),
-            "tracing": tracing_enabled(),
-            "stats": self.service.stats(),
+    def health(self) -> dict:
+        """The ``/healthz`` body: liveness plus the store facts a probe
+        can alert on."""
+        stats = self.stats()
+        return {
+            "status": "ok",
+            "generation": stats["generation"],
+            "facts": stats["facts"],
+            "dirty_measures": stats["dirty_measures"],
+            "uptime_seconds": round(time.monotonic() - self._opened, 3),
         }
-        observer = getattr(self.server, "observer", None)
-        if observer is not None:
-            payload["slow_query_threshold_seconds"] = (
-                observer.slow_log.threshold_seconds
-            )
-            payload["slow_queries"] = observer.slow_log.recent()
-        slo = getattr(self.server, "slo", None)
-        if slo is not None:
-            payload["slo"] = slo.status()
-        self._send(payload)
 
-    def _debug_trace(self, trace_id: str) -> None:
-        events = events_for_trace(get_tracer().events, trace_id)
-        if not events:
-            self._send(
-                {"error": f"no recorded events for trace {trace_id!r} "
-                 "(is tracing enabled?)"},
-                404,
-            )
-            return
-        self._send(
-            {
-                "trace_id": trace_id,
-                "events": events,
-                "tree": render_span_tree(events),
-            }
-        )
+    def status_fields(self) -> dict:
+        """Store stats, under the service name single-store servers
+        have always reported."""
+        return {"service": "repro-measure-service", "stats": self.stats()}
 
-    def _do_get(self, route: str) -> None:
-        try:
-            params = self._params()
-            self._count_request(route)
-            if route == "/metrics":
-                # Prometheus scrape target: the whole process registry
-                # (service counters, store gauges, engine totals alike).
-                slo = getattr(self.server, "slo", None)
-                if slo is not None:
-                    slo.export(get_registry())
-                self._send_text(get_registry().render_prometheus())
-            elif route == "/healthz":
-                self._healthz()
-            elif route == "/statusz":
-                self._statusz()
-            elif route.startswith("/debug/trace/"):
-                self._debug_trace(route.rsplit("/", 1)[-1])
-            elif route == "/measures":
-                self._send({"measures": self.service.measures()})
-            elif route == "/stats":
-                self._send(self.service.stats())
-            elif route == "/point":
-                measure = params["measure"]
-                key = _parse_key(params["key"])
-                value = self.service.point(measure, key)
-                self._send(
-                    {"measure": measure, "key": list(key),
-                     "value": value}
-                )
-            elif route == "/range":
-                measure = params["measure"]
-                prefix = _parse_key(params.get("prefix", ""))
-                rows = self.service.range(measure, prefix)
-                self._send(
-                    {
-                        "measure": measure,
-                        "prefix": list(prefix),
-                        "rows": [
-                            [list(key), value] for key, value in rows
-                        ],
-                    }
-                )
-            elif route == "/table":
-                measure = params["measure"]
-                table = self.service.table(measure)
-                self._send(
-                    {
-                        "measure": measure,
-                        "levels": list(table.granularity.levels),
-                        "rows": [
-                            [list(key), value]
-                            for key, value in table.items()
-                        ],
-                    }
-                )
-            else:
-                self._send({"error": f"unknown route {route!r}"}, 404)
-        except KeyError as exc:
-            self._send({"error": f"missing parameter: {exc}"}, 400)
-        except GranularityError as exc:
-            self._send({"error": f"bad request: {exc}"}, 400)
-        except ServiceError as exc:
-            self._send({"error": str(exc)}, 404)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send({"error": f"{type(exc).__name__}: {exc}"}, 500)
+    def ingest_reply(self, records, tenant: str | None = None) -> dict:
+        """The ``POST /ingest`` body: the ingest report as JSON."""
+        return dataclasses.asdict(self.ingest(records))
 
-    def _service_error(self, exc: ServiceError, status: int) -> None:
-        """Serialize a ServiceError, with analyzer diagnostics when the
-        failure is a rejected workflow."""
-        payload: dict = {"error": str(exc)}
-        if exc.diagnostics:
-            payload["diagnostics"] = [
-                d.to_dict() for d in exc.diagnostics
-            ]
-            status = 422
-        self._send(payload, status)
+    def pull_telemetry(self) -> None:
+        """Nothing to pull: the store runs in the serving process."""
 
-    def _post_workflow(self, body: dict) -> None:
-        """``POST /workflow`` — submit a workflow for validation.
-
-        The body names a query family (``{"query": "escalation"}``,
-        resolved by the trusted server-side builders in
-        :mod:`repro.queries.registry`) or carries a base64-encoded
-        pickled :class:`~repro.workflow.AggregationWorkflow` (the same
-        form the store persists at bootstrap); pickle bodies are only
-        accepted when the server allows them — loopback binds by
-        default, since unpickling executes arbitrary client code.  The
-        full analysis report comes back: 200 when the workflow is
-        servable, 422 with the error-level diagnostics when the
-        service would reject it.
-        """
-        from repro.analysis import analyze
-        from repro.queries.registry import (
-            QUERY_FAMILIES,
-            build_query_workflow,
-        )
-
-        query = body.get("query")
-        if query is not None:
-            workflow = build_query_workflow(query)
-        elif not getattr(self.server, "allow_pickle_workflows", True):
-            self._send(
-                {
-                    "error": "pickled workflow submissions are "
-                    "disabled on this server (non-loopback bind); "
-                    "POST {'query': <name>} instead, or restart "
-                    "with --allow-pickle-workflows",
-                    "queries": sorted(QUERY_FAMILIES),
-                },
-                403,
-            )
-            return
-        else:
-            workflow = pickle.loads(base64.b64decode(body["workflow"]))
-        report = analyze(workflow)
-        payload = report.to_dict()
-        if not report.ok:
-            payload["error"] = (
-                f"workflow {workflow.name!r} rejected by static "
-                f"analysis ({len(report.errors)} error(s))"
-            )
-        self._send(payload, 200 if report.ok else 422)
-
-    def _do_post(self, route: str) -> None:
-        try:
-            self._count_request(route)
-            if route not in ("/ingest", "/workflow"):
-                self._send({"error": f"unknown route {route!r}"}, 404)
-                return
-            length = int(self.headers.get("Content-Length") or 0)
-            body = json.loads(self.rfile.read(length) or b"{}")
-            if route == "/workflow":
-                self._post_workflow(body)
-                return
-            records = [tuple(record) for record in body["records"]]
-            report = self.service.ingest(records)
-            self._send(
-                {
-                    "generation": report.generation,
-                    "records": report.records,
-                    "merged_nodes": report.merged_nodes,
-                    "updated_measures": report.updated_measures,
-                    "deferred_measures": report.deferred_measures,
-                }
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            self._send(
-                {"error": f"bad {route.lstrip('/')} body: {exc}"}, 400
-            )
-        except ServiceError as exc:
-            self._service_error(exc, 400)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send({"error": f"{type(exc).__name__}: {exc}"}, 500)
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for graceful teardown.
-
-    Handler threads are non-daemonic and joined on ``server_close()``,
-    so shutdown drains in-flight requests instead of abandoning them
-    mid-write; the per-connection socket timeout on the handler keeps
-    a stuck client from blocking that drain indefinitely.
-    """
-
-    daemon_threads = False
-    block_on_close = True
-    # Bound the accept loop's poll interval so shutdown() is prompt.
-    timeout = 5.0
-
-
-def make_server(
-    service: MeasureService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    allow_pickle_workflows: bool | None = None,
-    access_log_path: str | None = None,
-    slow_query_path: str | None = None,
-    slow_query_seconds: float | None = None,
-) -> ServiceHTTPServer:
-    """A threaded HTTP server bound to ``host:port`` (0 = ephemeral).
-
-    ``allow_pickle_workflows`` gates pickle bodies on ``POST
-    /workflow`` (``None`` = only on loopback binds; ``True`` is for
-    trusted operators only, since unpickling executes arbitrary client
-    code — named ``query`` families are always accepted).
-
-    The caller owns the server's lifecycle::
-
-        server = make_server(service, port=8651)
-        threading.Thread(target=server.serve_forever).start()
-        ...
-        shutdown_gracefully(server)
-    """
-    if allow_pickle_workflows is None:
-        allow_pickle_workflows = host in LOOPBACK_HOSTS
-    server = ServiceHTTPServer((host, port), _ServiceHandler)
-    server.service = service  # type: ignore[attr-defined]
-    server.allow_pickle_workflows = (  # type: ignore[attr-defined]
-        allow_pickle_workflows
-    )
-    server.started_mono = time.monotonic()  # type: ignore[attr-defined]
-    server.slo = SLOTracker()  # type: ignore[attr-defined]
-    slow_kwargs = {"path": slow_query_path}
-    if slow_query_seconds is not None:
-        slow_kwargs["threshold_seconds"] = float(slow_query_seconds)
-    server.observer = RequestObserver(  # type: ignore[attr-defined]
-        access_log=RequestLog(access_log_path),
-        slow_log=SlowQueryLog(**slow_kwargs),
-        slo=server.slo,
-    )
-    return server
-
-
-def shutdown_gracefully(server: ServiceHTTPServer) -> None:
-    """Stop accepting, drain in-flight requests, flush pending work.
-
-    After the drain, deferred (dirty-holistic) measures are resolved so
-    the store's final MANIFEST on disk reflects everything the service
-    acknowledged — a restarted server serves every measure fresh
-    without a recovery recompute.
-    """
-    server.shutdown()
-    server.server_close()  # joins handler threads (block_on_close)
-    service = getattr(server, "service", None)
-    if service is not None:
-        service.resolve()
-    observer = getattr(server, "observer", None)
-    if observer is not None:
-        observer.close()
+    def close(self) -> None:
+        """Nothing to release: the store keeps no handle open."""

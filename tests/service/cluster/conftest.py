@@ -8,20 +8,8 @@ from repro.engine.sort_scan import SortScanEngine
 from repro.storage.table import InMemoryDataset
 from repro.workflow.workflow import AggregationWorkflow
 
-
-@pytest.fixture()
-def cluster_workflow(syn_schema):
-    """Partitionable mix: distributive, holistic, and a rollup.
-
-    Every measure keeps ``d0`` (the partition dimension) at a non-ALL
-    level — the cluster's partitionability requirement.
-    """
-    wf = AggregationWorkflow(syn_schema, name="cluster-test")
-    wf.basic("Count", {"d0": "d0.L1", "d1": "d1.L1"}, agg="count")
-    wf.basic("Total", {"d0": "d0.L1"}, agg=("sum", "v"))
-    wf.basic("MedV", {"d0": "d0.L1"}, agg=("median", "v"))
-    wf.rollup("sCount", {"d0": "d0.L1"}, source="Count", agg="sum")
-    return wf
+# ``cluster_workflow`` lives one level up: the HTTP suites that run
+# over every backend kind use it too.
 
 
 @pytest.fixture()

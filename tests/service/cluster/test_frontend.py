@@ -1,75 +1,23 @@
-"""The asyncio HTTP front end: routes, error contracts, shutdown.
+"""The HTTP front end over a cluster and over a tenant manager.
 
-The front end runs on a private event loop in a background thread;
-tests talk to it over real sockets with ``http.client`` so status
-codes, JSON bodies, and keep-alive behaviour are exercised end to end.
+What the front end answers whatever it serves (reads, error statuses,
+observability routes, shutdown) is asserted once for every backend
+kind in ``tests/service/test_server*.py``, ``test_metrics_endpoint.py``,
+``test_workflow_gate.py`` and ``test_shutdown.py``; this file holds
+what only a cluster or only a tenant manager answers, and the
+protocol-level contracts of the server itself.
 """
 
 import base64
-import http.client
-import json
 import pickle
-import threading
-import urllib.parse
-
-import asyncio
+import re
 
 import pytest
 
-from repro.service.cluster import (
-    ClusterFrontend,
-    TenantManager,
-    bootstrap_cluster,
-)
+from repro.service.cluster import TenantManager, bootstrap_cluster
 from repro.testkit.mutations import mutant
 
-from tests.service.conftest import make_records
-
-
-class _Running:
-    """A frontend serving on a background event loop."""
-
-    def __init__(self, backend, **kwargs):
-        self.frontend = ClusterFrontend(backend, port=0, **kwargs)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-        self.thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.frontend.start(), self.loop
-        ).result(timeout=10)
-
-    def request(self, method, target, body=None):
-        conn = http.client.HTTPConnection(
-            self.frontend.host, self.frontend.port, timeout=30
-        )
-        try:
-            payload = (
-                json.dumps(body).encode() if body is not None else None
-            )
-            conn.request(
-                method, target, body=payload,
-                headers={"Content-Type": "application/json"}
-                if payload else {},
-            )
-            response = conn.getresponse()
-            raw = response.read()
-            ctype = response.getheader("Content-Type", "")
-            data = (
-                json.loads(raw) if "json" in ctype else raw.decode()
-            )
-            return response.status, data
-        finally:
-            conn.close()
-
-    def stop(self):
-        asyncio.run_coroutine_threadsafe(
-            self.frontend.stop(), self.loop
-        ).result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
+from tests.service.conftest import Running, make_records
 
 
 @pytest.fixture()
@@ -80,7 +28,7 @@ def served(tmp_path, mergeable_cluster_workflow):
         make_records(300, seed=61),
         num_shards=2,
     )
-    running = _Running(cluster)
+    running = Running(cluster)
     yield running
     running.stop()
 
@@ -88,7 +36,7 @@ def served(tmp_path, mergeable_cluster_workflow):
 @pytest.fixture()
 def tenant_served(tmp_path):
     manager = TenantManager(str(tmp_path / "svc"))
-    running = _Running(manager)
+    running = Running(manager)
     yield running
     running.stop()
 
@@ -103,17 +51,6 @@ def _workflow_body(workflow, **extra):
 
 
 class TestClusterRoutes:
-    def test_healthz(self, served):
-        status, health = served.request("GET", "/healthz")
-        assert status == 200
-        assert health["status"] == "ok"
-        assert health["fenced"] is False
-        assert health["epoch"] >= 1
-        assert [s["shard"] for s in health["shards"]] == list(
-            range(len(health["shards"]))
-        )
-        assert all(s["alive"] for s in health["shards"])
-
     def test_measures_and_stats(self, served):
         status, data = served.request("GET", "/measures")
         assert status == 200
@@ -123,32 +60,6 @@ class TestClusterRoutes:
         assert status == 200
         assert stats["epoch"] == 1
         assert len(stats["shards"]) == 2
-
-    def test_point_range_table_agree(self, served):
-        status, table = served.request("GET", "/table?measure=Total")
-        assert status == 200 and table["rows"]
-        key, value = table["rows"][0]
-        key_param = ",".join(str(part) for part in key)
-        status, point = served.request(
-            "GET", f"/point?measure=Total&key={key_param}"
-        )
-        assert status == 200
-        assert point["value"] == pytest.approx(value)
-        status, ranged = served.request(
-            "GET", f"/range?measure=Total&prefix={key_param}"
-        )
-        assert status == 200
-        assert [key, pytest.approx(value)] in [
-            [k, pytest.approx(v)] for k, v in ranged["rows"]
-        ]
-
-    def test_rollup_route(self, served):
-        spec = urllib.parse.quote(json.dumps({"d0": "d0.L2"}))
-        status, data = served.request(
-            "GET", f"/rollup?measure=Count&spec={spec}&agg=sum"
-        )
-        assert status == 200
-        assert data["rows"]
 
     def test_ingest_advances_the_epoch(self, served):
         records = [list(r) for r in make_records(40, seed=62)]
@@ -160,49 +71,28 @@ class TestClusterRoutes:
         status, stats = served.request("GET", "/stats")
         assert stats["epoch"] == 2
 
-    def test_unknown_route_is_404(self, served):
-        status, data = served.request("GET", "/nope")
-        assert status == 404
-        assert "unknown route" in data["error"]
 
-    def test_unknown_measure_is_404_on_get(self, served):
-        status, data = served.request("GET", "/table?measure=Nope")
-        assert status == 404
-        assert "unknown measure" in data["error"]
+class TestProtocol:
+    """What the server answers before any route runs."""
 
-    def test_wrong_width_region_key_is_400(self, served):
-        status, data = served.request("GET", "/point?measure=Total&key=0,0")
-        assert status == 400
-        assert "one per dimension" in data["error"]
-
-    def test_tenants_route_requires_tenant_mode(self, served):
-        status, data = served.request("GET", "/tenants")
-        assert status == 404
-        assert "tenant mode" in data["error"]
-
-    def test_metrics_render_as_prometheus_text(self, served):
-        status, text = served.request("GET", "/metrics")
-        assert status == 200
-        assert isinstance(text, str)
-        assert "repro_" in text
-
-    def test_stop_refuses_new_connections(
-        self, tmp_path, mergeable_cluster_workflow
-    ):
-        cluster = bootstrap_cluster(
-            str(tmp_path / "c2"),
-            mergeable_cluster_workflow,
-            make_records(60, seed=63),
-            num_shards=1,
-        )
-        running = _Running(cluster)
-        host, port = running.frontend.host, running.frontend.port
-        assert running.request("GET", "/healthz")[0] == 200
-        running.stop()
-        with pytest.raises(OSError):
-            conn = http.client.HTTPConnection(host, port, timeout=2)
-            conn.request("GET", "/healthz")
-            conn.getresponse()
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"garbage\r\n\r\n",
+            b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /ingest HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        ],
+        ids=["request-line", "content-length-text",
+             "content-length-negative"],
+    )
+    def test_malformed_request_is_400_and_closes(self, served, head):
+        answer = served.raw(head)
+        status_line, __, rest = answer.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in rest
+        assert b'"error"' in rest
+        # The server survived it.
+        assert served.request("GET", "/healthz")[0] == 200
 
 
 class TestTenantRoutes:
@@ -247,7 +137,7 @@ class TestTenantRoutes:
         manager = TenantManager(
             str(tmp_path / "tiny"), default_budget=10
         )
-        running = _Running(manager)
+        running = Running(manager)
         try:
             records = [list(r) for r in make_records(200, seed=65)]
             status, data = running.request(
@@ -329,13 +219,53 @@ class TestTenantRoutes:
         monkeypatch.setattr(
             cluster, "pull_telemetry", lambda: pulled.append("alpha")
         )
-        running = _Running(manager)
+        running = Running(manager)
         try:
             status, text = running.request("GET", "/metrics")
             assert status == 200 and "repro_" in text
             assert pulled == ["alpha"]
         finally:
             running.stop()
+
+
+    def test_clients_cannot_mint_metric_series(
+        self, tenant_served, mergeable_cluster_workflow
+    ):
+        """Route labels come from the route table and tenant labels
+        from the registered tenants, so distinct bad paths, trace ids
+        and tenant names add O(1) series to ``/metrics``."""
+        records = [list(r) for r in make_records(60, seed=69)]
+        tenant_served.request(
+            "POST", "/workflow?tenant=alpha",
+            body=_workflow_body(
+                mergeable_cluster_workflow, records=records
+            ),
+        )
+
+        def flood(serials) -> set:
+            """The labelled series ``/metrics`` exposes afterwards."""
+            for i in serials:
+                for target in (
+                    f"/nope{i}?tenant=t{i}",
+                    f"/debug/trace/{i:032x}",
+                    f"/table?measure=Count&tenant=ghost{i}",
+                    "/table?measure=Count&tenant=alpha",
+                ):
+                    tenant_served.request("GET", target)
+            status, text = tenant_served.request("GET", "/metrics")
+            assert status == 200
+            return {
+                line.rsplit(" ", 1)[0]
+                for line in text.splitlines()
+                if re.search(r'(route|tenant)="', line)
+            }
+
+        once = flood(range(1))
+        assert any('route="unmatched"' in series for series in once)
+        assert any('route="/debug/trace/:id"' in series for series in once)
+        assert any('tenant="unknown"' in series for series in once)
+        assert any('tenant="alpha"' in series for series in once)
+        assert flood(range(1, 26)) == once
 
 
 class TestWorkflowEncoding:
@@ -370,7 +300,7 @@ class TestWorkflowEncoding:
         self, tmp_path, mergeable_cluster_workflow
     ):
         manager = TenantManager(str(tmp_path / "svc"))
-        running = _Running(manager, allow_pickle_workflows=False)
+        running = Running(manager, allow_pickle_workflows=False)
         try:
             status, data = running.request(
                 "POST", "/workflow",

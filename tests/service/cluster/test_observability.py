@@ -5,13 +5,13 @@ a 2-shard *process-mode* cluster must each produce ONE trace tree that
 spans the frontend, the router, and both shard worker processes —
 reassembled from span/parent ids, not interval containment, because
 the spans were recorded in three different address spaces.
+
+Correlation headers, ``/statusz`` and ``/debug/trace`` misses are the
+same for every backend; ``tests/service/test_server_obs.py`` asserts
+them per backend kind.
 """
 
-import http.client
 import json
-import threading
-
-import asyncio
 
 import pytest
 
@@ -23,56 +23,9 @@ from repro.obs import (
 from repro.obs.context import parse_traceparent
 from repro.obs.trace import span_tree
 from repro.service.cluster import bootstrap_cluster
-from repro.testkit.failpoints import FailPointError, failpoint
+from repro.testkit.failpoints import failpoint
 
-from tests.service.conftest import make_records
-
-
-class _Running:
-    """A frontend on a background loop, with header-level access."""
-
-    def __init__(self, backend, **kwargs):
-        from repro.service.cluster import ClusterFrontend
-
-        self.frontend = ClusterFrontend(backend, port=0, **kwargs)
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-        self.thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.frontend.start(), self.loop
-        ).result(timeout=10)
-
-    def request(self, method, target, body=None, headers=None):
-        conn = http.client.HTTPConnection(
-            self.frontend.host, self.frontend.port, timeout=60
-        )
-        try:
-            payload = (
-                json.dumps(body).encode() if body is not None else None
-            )
-            sent = dict(headers or {})
-            if payload:
-                sent.setdefault("Content-Type", "application/json")
-            conn.request(method, target, body=payload, headers=sent)
-            response = conn.getresponse()
-            raw = response.read()
-            ctype = response.getheader("Content-Type", "")
-            data = (
-                json.loads(raw) if "json" in ctype else raw.decode()
-            )
-            return response.status, data, dict(response.getheaders())
-        finally:
-            conn.close()
-
-    def stop(self):
-        asyncio.run_coroutine_threadsafe(
-            self.frontend.stop(), self.loop
-        ).result(timeout=30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
+from tests.service.conftest import Running, make_records
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +49,7 @@ def served(tmp_path, mergeable_cluster_workflow):
         num_shards=2,
         mode="process",
     )
-    running = _Running(cluster)
+    running = Running(cluster)
     yield running
     running.stop()
 
@@ -118,7 +71,7 @@ def _tree_names(node):
 def _fetch_trace(served, headers):
     traceparent = headers["traceparent"]
     trace_id = parse_traceparent(traceparent).trace_id
-    status, data, __ = served.request(
+    status, data, __ = served.exchange(
         "GET", f"/debug/trace/{trace_id}"
     )
     assert status == 200, data
@@ -131,7 +84,7 @@ class TestTracePropagation:
         self, served
     ):
         frontend_pid = __import__("os").getpid()
-        status, data, headers = served.request(
+        status, data, headers = served.exchange(
             "GET", "/table?measure=Total"
         )
         assert status == 200 and data["rows"]
@@ -155,7 +108,7 @@ class TestTracePropagation:
     ):
         frontend_pid = __import__("os").getpid()
         records = [list(r) for r in make_records(40, seed=82)]
-        status, report, headers = served.request(
+        status, report, headers = served.exchange(
             "POST", "/ingest", body={"records": records}
         )
         assert status == 200 and report["epoch"] == 2
@@ -171,57 +124,12 @@ class TestTracePropagation:
         assert frontend_pid in pids
         assert len(pids - {frontend_pid}) == 2
 
-    def test_incoming_traceparent_is_continued(self, served):
-        upstream_trace = "c0ffee" + "0" * 26
-        upstream_span = "dead" + "0" * 12
-        status, __, headers = served.request(
-            "GET", "/stats",
-            headers={
-                "traceparent": (
-                    f"00-{upstream_trace}-{upstream_span}-01"
-                ),
-                "X-Request-Id": "req-corr-9",
-            },
-        )
-        assert status == 200
-        parsed = parse_traceparent(headers["traceparent"])
-        assert parsed.trace_id == upstream_trace
-        assert parsed.span_id != upstream_span
-        assert headers["X-Request-Id"] == "req-corr-9"
-
-    def test_fresh_request_gets_request_id_and_traceparent(
-        self, served
-    ):
-        status, __, headers = served.request("GET", "/stats")
-        assert status == 200
-        assert headers["X-Request-Id"]
-        assert parse_traceparent(headers["traceparent"]) is not None
-
-
 class TestStatusEndpoints:
-    def test_statusz_shape(self, served):
-        status, data, __ = served.request("GET", "/statusz")
-        assert status == 200
-        assert data["service"] == "repro-cluster-frontend"
-        assert data["tracing"] is True
-        assert data["uptime_seconds"] >= 0
-        assert data["health"]["status"] == "ok"
-        assert data["slow_query_threshold_seconds"] > 0
-        assert data["slo"]["objectives"]
-        assert data["slo"]["windows"]
-
-    def test_debug_trace_unknown_id_is_404(self, served):
-        status, data, __ = served.request(
-            "GET", "/debug/trace/" + "f" * 32
-        )
-        assert status == 404
-        assert "no recorded events" in data["error"]
-
     def test_metrics_expose_latency_histogram_and_burn_rate(
         self, served
     ):
-        served.request("GET", "/table?measure=Total")
-        status, text, __ = served.request("GET", "/metrics")
+        served.exchange("GET", "/table?measure=Total")
+        status, text, __ = served.exchange("GET", "/metrics")
         assert status == 200
         assert "repro_http_request_seconds_bucket" in text
         assert 'route="/table"' in text
@@ -237,17 +145,17 @@ class TestStatusEndpoints:
             make_records(120, seed=83),
             num_shards=2,
         )
-        running = _Running(cluster)
+        running = Running(cluster)
         try:
-            status, health, __ = running.request("GET", "/healthz")
+            status, health, __ = running.exchange("GET", "/healthz")
             assert status == 200 and health["status"] == "ok"
             delta = [list(r) for r in make_records(30, seed=84)]
             with failpoint("cluster.shard-prepare", "raise"):
-                status, data, __ = running.request(
+                status, data, __ = running.exchange(
                     "POST", "/ingest", body={"records": delta}
                 )
             assert status == 500
-            status, health, __ = running.request("GET", "/healthz")
+            status, health, __ = running.exchange("GET", "/healthz")
             assert status == 503
             assert health["status"] == "fenced"
             assert health["fenced"] is True
@@ -273,17 +181,17 @@ class TestStatusEndpoints:
             mode="process",
         )
         slow_path = str(tmp_path / "slow.log")
-        running = _Running(
+        running = Running(
             cluster,
             slow_query_seconds=0.0,  # every request is "slow"
             slow_query_path=slow_path,
         )
         try:
-            status, data, __ = running.request(
+            status, data, __ = running.exchange(
                 "GET", "/table?measure=Count"
             )
             assert status == 200 and data["rows"]
-            status, statusz, __ = running.request("GET", "/statusz")
+            status, statusz, __ = running.exchange("GET", "/statusz")
             entries = [
                 e for e in statusz["slow_queries"]
                 if e["route"] == "/table"
@@ -303,18 +211,18 @@ class TestStatusEndpoints:
 class TestMetamorphicTelemetry:
     def test_results_identical_with_telemetry_on_and_off(self, served):
         set_tracing(True)
-        status, traced, __ = served.request(
+        status, traced, __ = served.exchange(
             "GET", "/table?measure=Total"
         )
         assert status == 200
         set_tracing(False)
-        status, dark, __ = served.request(
+        status, dark, __ = served.exchange(
             "GET", "/table?measure=Total"
         )
         assert status == 200
         assert traced["rows"] == dark["rows"]
         set_tracing(True)
-        status, relit, __ = served.request(
+        status, relit, __ = served.exchange(
             "GET", "/table?measure=Total"
         )
         assert status == 200

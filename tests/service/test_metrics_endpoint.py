@@ -1,43 +1,43 @@
-"""The Prometheus ``/metrics`` route, scraped cold and under load."""
+"""The Prometheus ``/metrics`` route, scraped cold and under load, over
+every backend kind the one HTTP server serves without tenants."""
 
 import threading
-import urllib.request
 
 import pytest
 
 from repro.obs import reset_registry
-from repro.service import MeasureService, MeasureStore, make_server
 
-from tests.service.conftest import make_records
+from tests.service.conftest import Running, make_records
 
 
 @pytest.fixture()
-def service(tmp_path, mergeable_workflow):
-    # A fresh registry *before* the service exists: the service binds
-    # its cache counters at construction time.
+def served(open_backend, mergeable_workflow):
+    # A fresh registry *before* the backend and the frontend exist:
+    # both bind their counters at construction time.
     reset_registry()
-    store = MeasureStore(str(tmp_path / "store"))
-    svc = MeasureService(store, mergeable_workflow)
-    svc.bootstrap(make_records(800, seed=50))
-    return svc
+    running = Running(
+        open_backend(make_records(800, seed=50), mergeable_workflow)
+    )
+    yield running
+    running.stop()
 
 
 @pytest.fixture()
-def http(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    port = server.server_address[1]
-    yield f"http://127.0.0.1:{port}"
-    server.shutdown()
-    server.server_close()
+def service(served):
+    return served.backend
 
 
-def scrape(base_url):
-    with urllib.request.urlopen(f"{base_url}/metrics") as response:
-        assert response.status == 200
-        content_type = response.headers["Content-Type"]
-        return response.read().decode("utf-8"), content_type
+@pytest.fixture()
+def stores(service):
+    """Stores behind the backend: each folds its share of an ingest
+    and counts it once."""
+    return getattr(service, "num_shards", 1)
+
+
+def scrape(served):
+    status, text, headers = served.exchange("GET", "/metrics")
+    assert status == 200
+    return text, headers["Content-Type"]
 
 
 def metric_value(text, name):
@@ -48,18 +48,18 @@ def metric_value(text, name):
 
 
 class TestScrape:
-    def test_content_type_is_prometheus_text(self, http):
-        __, content_type = scrape(http)
+    def test_content_type_is_prometheus_text(self, served):
+        __, content_type = scrape(served)
         assert "text/plain" in content_type
         assert "version=0.0.4" in content_type
 
-    def test_acceptance_metrics_present(self, http, service):
+    def test_acceptance_metrics_present(self, served, service):
         # Warm the query path so cache counters exist with real values.
         table = service.table("Count")
         key = table.keys()[0]
         service.point("Count", key)
         service.point("Count", key)
-        text, __ = scrape(http)
+        text, __ = scrape(served)
         # Store shape.
         assert metric_value(text, "repro_store_segments") > 0
         assert metric_value(text, "repro_store_generation") == 1
@@ -75,25 +75,30 @@ class TestScrape:
         assert "# TYPE repro_engine_scan_seconds_total counter" in text
         assert metric_value(text, "repro_engine_runs_total") >= 1
 
-    def test_ingest_latency_histogram_filled(self, http, service):
+    def test_ingest_latency_histogram_filled(
+        self, served, service, stores
+    ):
         service.ingest(make_records(100, seed=51))
-        text, __ = scrape(http)
-        assert metric_value(text, "repro_ingest_batches_total") == 1
+        text, __ = scrape(served)
+        assert metric_value(text, "repro_ingest_batches_total") == stores
         assert metric_value(text, "repro_ingest_records_total") == 100
         assert (
-            metric_value(text, "repro_ingest_commit_seconds_count") == 1
+            metric_value(text, "repro_ingest_commit_seconds_count")
+            == stores
         )
         assert 'le="+Inf"' in text
 
-    def test_http_requests_counted_by_route(self, http):
-        scrape(http)
-        text, __ = scrape(http)
+    def test_http_requests_counted_by_route(self, served):
+        scrape(served)
+        text, __ = scrape(served)
         route_metric = 'repro_http_requests_total{route="/metrics"}'
         assert metric_value(text, route_metric) >= 1
 
 
 class TestConcurrentScrape:
-    def test_metrics_stable_under_ingest_and_query(self, http, service):
+    def test_metrics_stable_under_ingest_and_query(
+        self, served, service, stores
+    ):
         """Scrape /metrics while writers and readers hammer the store."""
         errors = []
         stop = threading.Event()
@@ -123,14 +128,17 @@ class TestConcurrentScrape:
         for thread in threads:
             thread.start()
         try:
-            scrapes = [scrape(http)[0] for __ in range(10)]
+            scrapes = [scrape(served)[0] for __ in range(10)]
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=30)
         assert errors == []
-        final, __ = scrape(http)
-        assert metric_value(final, "repro_ingest_batches_total") == 3
+        final, __ = scrape(served)
+        assert (
+            metric_value(final, "repro_ingest_batches_total")
+            == 3 * stores
+        )
         assert (
             metric_value(final, "repro_ingest_records_total") == 180
         )

@@ -1,19 +1,22 @@
-"""Tests for the concurrent query layer and the HTTP front end."""
+"""Tests for the concurrent query layer and its HTTP routes.
+
+``TestHTTPEndpoint`` runs over every backend kind the one HTTP server
+serves without tenants (one plain store, a 2-shard cluster).
+"""
 
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 
 import pytest
 
 from repro.errors import GranularityError, ServiceError
 from repro.engine.sort_scan import SortScanEngine
-from repro.service import MeasureService, MeasureStore, make_server
+from repro.service import MeasureService, MeasureStore
 from repro.storage.table import InMemoryDataset
 
-from tests.service.conftest import make_records
+from tests.service.conftest import Running, make_records
 
 
 @pytest.fixture()
@@ -147,67 +150,78 @@ class TestConcurrency:
 
 class TestHTTPEndpoint:
     @pytest.fixture()
-    def http(self, service):
-        server = make_server(service, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        port = server.server_address[1]
-        yield f"http://127.0.0.1:{port}"
-        server.shutdown()
-        server.server_close()
+    def served(self, open_backend):
+        running = Running(open_backend(make_records(1200, seed=40)))
+        yield running
+        running.stop()
 
     @staticmethod
-    def _get(url):
-        with urllib.request.urlopen(url) as response:
-            return json.loads(response.read())
+    def _get(served, target):
+        status, payload = served.request("GET", target)
+        assert status == 200, payload
+        return payload
 
-    def test_measures_and_stats(self, http):
-        payload = self._get(f"{http}/measures")
+    def test_measures_and_stats(self, served):
+        payload = self._get(served, "/measures")
         names = [e["measure"] for e in payload["measures"]]
         assert "Count" in names
-        stats = self._get(f"{http}/stats")
+        stats = self._get(served, "/stats")
         assert stats["generation"] >= 1 and stats["facts"] > 0
 
-    def test_point_range_table(self, http, service):
-        table = service.table("Count")
+    def test_point_range_table(self, served):
+        table = served.backend.table("Count")
         key = table.keys()[0]
         key_text = ",".join(str(part) for part in key)
-        point = self._get(f"{http}/point?measure=Count&key={key_text}")
+        point = self._get(
+            served, f"/point?measure=Count&key={key_text}"
+        )
         assert point["value"] == table[key]
         rows = self._get(
-            f"{http}/range?measure=Count&prefix={key[0]}"
+            served, f"/range?measure=Count&prefix={key[0]}"
         )["rows"]
         assert [tuple(k) for k, __ in rows] == [
             k for k in table.keys() if k[:1] == key[:1]
         ]
-        full = self._get(f"{http}/table?measure=Count")["rows"]
-        assert len(full) == len(table)
-
-    def test_error_statuses(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{http}/point?measure=nope&key=0")
-        assert excinfo.value.code == 404
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{http}/point?measure=Count")
-        assert excinfo.value.code in (400, 404)
-
-    def test_post_ingest(self, http, service):
-        before = service.stats()["facts"]
-        records = make_records(25, seed=60)
-        body = json.dumps({"records": records}).encode()
-        request = urllib.request.Request(
-            f"{http}/ingest", data=body, method="POST",
-            headers={"Content-Type": "application/json"},
+        full = self._get(served, "/table?measure=Count")
+        assert full["levels"] == list(table.granularity.levels)
+        assert [(tuple(k), v) for k, v in full["rows"]] == list(
+            table.items()
         )
-        with urllib.request.urlopen(request) as response:
-            payload = json.loads(response.read())
-        assert payload["records"] == 25
-        assert service.stats()["facts"] == before + 25
 
-    def test_concurrent_http_queries(self, http, service):
-        table = service.table("Count")
+    def test_rollup_on_read(self, served):
+        spec = {"d0": "d0.L1"}
+        data = self._get(
+            served,
+            "/rollup?measure=Count&agg=sum&spec="
+            + urllib.parse.quote(json.dumps(spec)),
+        )
+        assert data["agg"] == "sum"
+        rolled = served.backend.rollup("Count", spec, agg="sum")
+        assert {tuple(k): v for k, v in data["rows"]} == dict(
+            rolled.rows
+        )
+        assert dict(rolled.rows) == dict(
+            served.backend.table("sCount").rows
+        )
+
+    def test_error_statuses(self, served):
+        status, __ = served.request("GET", "/point?measure=nope&key=0")
+        assert status == 404
+        status, __ = served.request("GET", "/point?measure=Count")
+        assert status == 400
+
+    def test_post_ingest(self, served):
+        before = served.backend.stats()["facts"]
+        status, payload = served.request(
+            "POST", "/ingest", {"records": make_records(25, seed=60)}
+        )
+        assert status == 200
+        assert payload["records"] == 25
+        assert {"updated_measures", "deferred_measures"} <= set(payload)
+        assert served.backend.stats()["facts"] == before + 25
+
+    def test_concurrent_http_queries(self, served):
+        table = served.backend.table("Count")
         keys = table.keys()[:8]
         errors = []
 
@@ -215,7 +229,7 @@ class TestHTTPEndpoint:
             try:
                 key_text = ",".join(str(part) for part in key)
                 payload = self._get(
-                    f"{http}/point?measure=Count&key={key_text}"
+                    served, f"/point?measure=Count&key={key_text}"
                 )
                 assert payload["value"] == table[key]
             except Exception as exc:  # pragma: no cover
@@ -233,104 +247,103 @@ class TestHTTPEndpoint:
 
     # -- error paths ---------------------------------------------------
 
-    @staticmethod
-    def _error_body(excinfo) -> str:
-        return json.loads(excinfo.value.read())["error"]
-
-    def test_unknown_measure_is_404_everywhere(self, http):
+    def test_unknown_measure_is_404_everywhere(self, served):
         for route in ("point?measure=nope&key=0",
                       "range?measure=nope",
-                      "table?measure=nope"):
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(f"{http}/{route}")
-            assert excinfo.value.code == 404
-            assert "unknown measure" in self._error_body(excinfo)
+                      "table?measure=nope",
+                      "rollup?measure=nope"):
+            status, data = served.request("GET", f"/{route}")
+            assert status == 404
+            assert "unknown measure" in data["error"]
 
-    def test_malformed_region_key_is_client_error(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{http}/point?measure=Count&key=one,two")
-        assert excinfo.value.code == 404
-        assert "malformed region key" in self._error_body(excinfo)
-
-    def test_wrong_width_region_key_is_400(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{http}/point?measure=Count&key=0,0")
-        assert excinfo.value.code == 400
-        assert "one per dimension" in self._error_body(excinfo)
-
-    def test_unknown_route_is_404(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._get(f"{http}/frobnicate")
-        assert excinfo.value.code == 404
-        assert "unknown route" in self._error_body(excinfo)
-
-    def _post(self, url, body: bytes):
-        request = urllib.request.Request(
-            url, data=body, method="POST",
-            headers={"Content-Type": "application/json"},
+    def test_malformed_region_key_is_client_error(self, served):
+        status, data = served.request(
+            "GET", "/point?measure=Count&key=one,two"
         )
-        return urllib.request.urlopen(request)
+        assert status == 404
+        assert "malformed region key" in data["error"]
 
-    def test_post_ingest_malformed_json_is_400(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{http}/ingest", b"{not json at all")
-        assert excinfo.value.code == 400
-        assert "bad ingest body" in self._error_body(excinfo)
+    def test_wrong_width_region_key_is_400(self, served):
+        status, data = served.request(
+            "GET", "/point?measure=Count&key=0,0"
+        )
+        assert status == 400
+        assert "one per dimension" in data["error"]
 
-    def test_post_ingest_missing_records_is_400(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{http}/ingest", json.dumps({"rows": []}).encode())
-        assert excinfo.value.code == 400
-        assert "bad ingest body" in self._error_body(excinfo)
+    def test_unknown_route_is_404(self, served):
+        status, data = served.request("GET", "/frobnicate")
+        assert status == 404
+        assert "unknown route" in data["error"]
 
-    def test_post_ingest_non_list_records_is_400(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(
-                f"{http}/ingest", json.dumps({"records": 42}).encode()
-            )
-        assert excinfo.value.code == 400
+    def test_unrouted_method_is_405(self, served):
+        status, data = served.request("PUT", "/point")
+        assert status == 405
+        assert "PUT" in data["error"]
 
-    def test_post_to_unknown_route_is_404(self, http):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(f"{http}/measures", b"{}")
-        assert excinfo.value.code == 404
+    def test_tenant_routes_refuse_without_tenants(self, served):
+        status, data = served.request("GET", "/tenants")
+        assert status == 404
+        assert "tenant mode" in data["error"]
 
-    def test_query_during_in_flight_ingest(self, http, service):
+    def test_post_ingest_malformed_json_is_400(self, served):
+        status, data = served.request(
+            "POST", "/ingest", b"{not json at all"
+        )
+        assert status == 400
+        assert "bad request" in data["error"]
+
+    def test_post_ingest_missing_records_is_400(self, served):
+        status, data = served.request("POST", "/ingest", {"rows": []})
+        assert status == 400
+        assert "bad request" in data["error"]
+
+    def test_post_ingest_non_list_records_is_400(self, served):
+        status, __ = served.request("POST", "/ingest", {"records": 42})
+        assert status == 400
+
+    def test_post_to_unknown_route_is_404(self, served):
+        status, __ = served.request("POST", "/measures", {})
+        assert status == 404
+
+    def test_query_during_in_flight_ingest(self, served):
         # Slow the commit down with the shared ingest fail point, then
-        # read over HTTP while the POST is folding: the service lock
+        # read over HTTP while the POST is folding: the backend's locks
         # must serialize them — the read never observes a half-applied
         # delta, whichever side of the commit it lands on.
         from repro.testkit import failpoint
 
-        table = service.table("Count")
+        backend = served.backend
+        table = backend.table("Count")
         key = table.keys()[0]
         key_text = ",".join(str(part) for part in key)
-        url = f"{http}/point?measure=Count&key={key_text}"
         records = make_records(30, seed=77)
         results, errors = [], []
 
         def writer():
             try:
-                with self._post(
-                    f"{http}/ingest",
-                    json.dumps({"records": records}).encode(),
-                ) as response:
-                    results.append(json.loads(response.read()))
+                results.append(
+                    served.request(
+                        "POST", "/ingest", {"records": records}
+                    )
+                )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        before = service.stats()["generation"]
+        before = backend.stats()["generation"]
         with failpoint("ingest.fold", "delay:0.4"):
             thread = threading.Thread(target=writer)
             thread.start()
             time.sleep(0.1)  # let the POST reach the armed fold
-            payload = self._get(url)
+            payload = self._get(
+                served, f"/point?measure=Count&key={key_text}"
+            )
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert errors == []
-        assert results and results[0]["records"] == len(records)
+        assert results[0][0] == 200
+        assert results[0][1]["records"] == len(records)
         # The read returned a committed value: either the pre-ingest
         # table's, or the post-ingest one recomputed from the store.
-        after_table = service.table("Count")
+        after_table = backend.table("Count")
         assert payload["value"] in (table[key], after_table[key])
-        assert service.stats()["generation"] == before + 1
+        assert backend.stats()["generation"] == before + 1

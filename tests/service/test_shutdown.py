@@ -1,89 +1,74 @@
-"""Graceful teardown of the threaded HTTP front end.
+"""Graceful teardown of the HTTP front end, over every backend kind
+it serves without tenants (plain store, 2-shard cluster).
 
-The guarantees under test: handler sockets carry a timeout (a stalled
-client cannot pin a thread forever), shutdown drains rather than
-abandons, and the post-drain resolve leaves the on-disk MANIFEST
-final — a restarted server recomputes nothing.
+The guarantees under test: ``stop()`` drains the requests in flight
+rather than abandoning them, a silent client cannot hold it up, and
+the post-drain resolve leaves the on-disk MANIFESTs final — a
+restarted server recomputes nothing.
 """
 
-import json
 import socket
 import threading
-import urllib.request
+import time
 
 import pytest
 
-from repro.service import MeasureService, MeasureStore, make_server
-from repro.service.server import (
-    ServiceHTTPServer,
-    _ServiceHandler,
-    shutdown_gracefully,
-)
+from repro.service.cluster import frontend as frontend_module
+from repro.testkit import failpoint
 
-from tests.service.conftest import make_records
+from tests.service.conftest import Running, dirty_on_disk, make_records
 
 
 @pytest.fixture()
-def service(tmp_path, service_workflow):
-    store = MeasureStore(str(tmp_path / "store"))
-    svc = MeasureService(store, service_workflow)
-    svc.bootstrap(make_records(400, seed=71))
-    return svc
-
-
-class TestTimeouts:
-    def test_handler_sockets_carry_a_timeout(self):
-        # BaseHTTPRequestHandler applies ``timeout`` to every accepted
-        # connection; None would let one silent client hold a
-        # non-daemonic thread across shutdown forever.
-        assert _ServiceHandler.timeout == 30.0
-
-    def test_accept_loop_polls_so_shutdown_is_prompt(self):
-        assert ServiceHTTPServer.timeout == 5.0
-        assert ServiceHTTPServer.block_on_close is True
-        assert ServiceHTTPServer.daemon_threads is False
+def running(open_backend):
+    running = Running(open_backend(make_records(400, seed=71)))
+    yield running
+    if not running.loop.is_closed():
+        running.stop()
 
 
 class TestGracefulShutdown:
-    def test_drains_resolves_and_stops_accepting(self, service):
-        server = make_server(service)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever)
-        thread.start()
-        try:
-            # Leave deferred holistic work pending, then ingest so the
-            # store holds dirty measures at shutdown time.
-            service.ingest(make_records(50, seed=72))
-            assert service.store.dirty_measures()
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/stats", timeout=10
-            ) as response:
-                assert json.loads(response.read())["generation"] >= 2
-        finally:
-            shutdown_gracefully(server)
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        # The post-drain resolve finalized the MANIFEST on disk.
-        assert not service.store.dirty_measures()
-        with pytest.raises(OSError):
-            socket.create_connection((host, port), timeout=2).close()
+    def test_drains_resolves_and_stops_accepting(self, running):
+        # An ingest the fold fail point holds in flight across the
+        # stop; its delta defers the holistic MedV, so the stores hold
+        # dirty measures when the drain ends.
+        answers = []
 
-    def test_idle_keepalive_connection_does_not_block_drain(
-        self, service, monkeypatch
+        def ingest():
+            answers.append(
+                running.request(
+                    "POST", "/ingest",
+                    {"records": make_records(50, seed=72)},
+                )
+            )
+
+        with failpoint("ingest.fold", "delay:0.5"):
+            client = threading.Thread(target=ingest)
+            client.start()
+            time.sleep(0.2)  # let the POST reach the armed fold
+            running.stop()
+        client.join(timeout=30)
+        assert not client.is_alive()
+        status, report = answers[0]
+        assert status == 200 and report["records"] == 50
+        assert "MedV" in report["deferred_measures"]
+        # The post-drain resolve finalized the MANIFESTs on disk.
+        assert dirty_on_disk(running.backend) == set()
+        with pytest.raises(OSError):
+            socket.create_connection(running.address, timeout=2).close()
+
+    def test_idle_keepalive_connection_does_not_delay_stop(
+        self, running, monkeypatch
     ):
-        # A client that connects and then goes silent parks its handler
-        # thread in a *timed* read; once that timeout fires, the drain
-        # completes.  Shrink the timeout so the test proves the bound
-        # without waiting out the production 30s.
-        monkeypatch.setattr(_ServiceHandler, "timeout", 0.5)
-        server = make_server(service)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever)
-        thread.start()
-        idle = socket.create_connection((host, port), timeout=5)
+        # A client that connects and then goes silent sits in a
+        # *timed* read; shrink the timeout so the test proves the
+        # bound without waiting out the production 30 s.
+        monkeypatch.setattr(frontend_module, "IDLE_TIMEOUT", 0.5)
+        idle = socket.create_connection(running.address, timeout=5)
         try:
-            shutdown_gracefully(server)
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+            assert running.request("GET", "/healthz")[0] == 200
+            started = time.monotonic()
+            running.stop()
+            assert time.monotonic() - started < 5.0
         finally:
             idle.close()

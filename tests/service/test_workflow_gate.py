@@ -7,20 +7,16 @@ come back in the HTTP error body.
 """
 
 import base64
-import json
 import pickle
-import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import MeasureService, MeasureStore, make_server
+from repro.service import MeasureService, MeasureStore
 from repro.service.ingest import Ingestor
 from repro.testkit.mutations import clean_workflow, mutant
 
-from tests.service.conftest import make_records
+from tests.service.conftest import Running, make_records
 
 
 class TestIngestorGate:
@@ -56,42 +52,40 @@ class TestIngestorGate:
 
 
 class TestHTTPWorkflowRoute:
+    """``POST /workflow`` over every backend kind the one HTTP server
+    serves without tenants (plain store, 2-shard cluster)."""
+
     @pytest.fixture()
-    def http(self, tmp_path, syn_schema):
-        store = MeasureStore(str(tmp_path / "store"))
-        service = MeasureService(store, clean_workflow(syn_schema))
-        service.bootstrap(make_records(300, seed=9))
-        server = make_server(service, port=0)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        port = server.server_address[1]
-        yield f"http://127.0.0.1:{port}"
-        server.shutdown()
-        server.server_close()
+    def serve(self, open_backend, syn_schema):
+        started = []
+
+        def start(**kwargs):
+            backend = open_backend(
+                make_records(300, seed=9), clean_workflow(syn_schema)
+            )
+            started.append(Running(backend, **kwargs))
+            return started[-1]
+
+        yield start
+        for running in started:
+            running.stop()
 
     @staticmethod
-    def _post_workflow(base_url, workflow):
-        body = json.dumps({
+    def _pickled(workflow) -> dict:
+        return {
             "workflow": base64.b64encode(
                 pickle.dumps(workflow)
             ).decode("ascii"),
-        }).encode("utf-8")
-        request = urllib.request.Request(
-            f"{base_url}/workflow", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request) as response:
-            return response.status, json.loads(response.read())
+        }
 
     def test_invalid_submission_is_422_with_diagnostics(
-        self, http, syn_schema
+        self, serve, syn_schema
     ):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post_workflow(http, mutant("CSM101", syn_schema))
-        assert excinfo.value.code == 422
-        payload = json.loads(excinfo.value.read())
+        status, payload = serve().request(
+            "POST", "/workflow",
+            self._pickled(mutant("CSM101", syn_schema)),
+        )
+        assert status == 422
         assert "rejected by static analysis" in payload["error"]
         errors = [
             d for d in payload["diagnostics"]
@@ -102,64 +96,40 @@ class TestHTTPWorkflowRoute:
         assert "fix" not in errors[0]  # suggestion rides its own key
         assert errors[0]["suggestion"]
 
-    def test_clean_submission_is_accepted(self, http, syn_schema):
-        status, payload = self._post_workflow(
-            http, clean_workflow(syn_schema)
+    def test_clean_submission_is_accepted(self, serve, syn_schema):
+        status, payload = serve().request(
+            "POST", "/workflow",
+            self._pickled(clean_workflow(syn_schema)),
         )
         assert status == 200
         assert payload["ok"] is True
         assert payload["counts"]["error"] == 0
 
-    def test_malformed_submission_is_400(self, http):
-        body = json.dumps({"workflow": "!!not-base64!!"}).encode()
-        request = urllib.request.Request(
-            f"{http}/workflow", data=body,
-            headers={"Content-Type": "application/json"},
+    def test_malformed_submission_is_400(self, serve):
+        status, payload = serve().request(
+            "POST", "/workflow", {"workflow": "!!not-base64!!"}
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert "bad workflow body" in json.loads(
-            excinfo.value.read()
-        )["error"]
+        assert status == 400
+        assert "bad request" in payload["error"]
 
-    @staticmethod
-    def _post_json(base_url, body):
-        request = urllib.request.Request(
-            f"{base_url}/workflow",
-            data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
+    def test_named_query_family_is_accepted(self, serve):
+        status, payload = serve().request(
+            "POST", "/workflow", {"query": "q1"}
         )
-        with urllib.request.urlopen(request) as response:
-            return response.status, json.loads(response.read())
-
-    def test_named_query_family_is_accepted(self, http):
-        status, payload = self._post_json(http, {"query": "q1"})
         assert status == 200
         assert payload["ok"] is True
 
-    def test_pickle_refused_when_gated(self, tmp_path, syn_schema):
-        store = MeasureStore(str(tmp_path / "gated"))
-        service = MeasureService(store, clean_workflow(syn_schema))
-        service.bootstrap(make_records(100, seed=10))
-        server = make_server(
-            service, port=0, allow_pickle_workflows=False
+    def test_pickle_refused_when_gated(self, serve, syn_schema):
+        gated = serve(allow_pickle_workflows=False)
+        status, payload = gated.request(
+            "POST", "/workflow",
+            self._pickled(clean_workflow(syn_schema)),
         )
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
+        assert status == 403
+        assert "disabled" in payload["error"]
+        assert "queries" in payload
+        # Named families remain available on the gated server.
+        status, payload = gated.request(
+            "POST", "/workflow", {"query": "q1"}
         )
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._post_workflow(base, clean_workflow(syn_schema))
-            assert excinfo.value.code == 403
-            payload = json.loads(excinfo.value.read())
-            assert "disabled" in payload["error"]
-            assert "queries" in payload
-            # Named families remain available on the gated server.
-            status, payload = self._post_json(base, {"query": "q1"})
-            assert status == 200 and payload["ok"] is True
-        finally:
-            server.shutdown()
-            server.server_close()
+        assert status == 200 and payload["ok"] is True

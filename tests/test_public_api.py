@@ -7,6 +7,7 @@ function must carry a docstring.
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -110,3 +111,14 @@ def test_error_hierarchy_is_catchable():
 
     assert issubclass(SchemaError, ReproError)
     assert issubclass(WorkflowError, ReproError)
+
+
+def test_one_http_server():
+    """The asyncio front end is the only HTTP server: no file under
+    ``src/repro`` may bring the stdlib threaded one back."""
+    offenders = [
+        str(path)
+        for path in pathlib.Path(repro.__path__[0]).rglob("*.py")
+        if "http.server" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
