@@ -12,9 +12,6 @@ dataset's size.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import tempfile
 import time
 
 from repro.errors import EvaluationError, MemoryBudgetExceeded
@@ -40,8 +37,6 @@ from repro.engine.watermark import NodeChecker, build_node_specs
 from repro.obs import get_tracer
 from repro.obs.profile import NodeProfile
 from repro.storage.columnar import (
-    RecordBatch,
-    batches_from_records,
     lift_columns,
     map_column,
     np,
@@ -49,8 +44,7 @@ from repro.storage.columnar import (
     row_keys,
     sorted_runs,
 )
-from repro.storage.external_sort import DEFAULT_RUN_SIZE, external_sort
-from repro.storage.flatfile import FlatFileDataset, write_flatfile
+from repro.storage.external_sort import DEFAULT_RUN_SIZE, sort_dataset
 from repro.storage.sink import Sink
 from repro.storage.table import Dataset, InMemoryDataset
 from repro.testkit.failpoints import fire, register
@@ -493,12 +487,9 @@ class SortScanEngine(Engine):
         mapper = sort_key.record_mapper()
         sort_started = time.perf_counter()
         with tracer.span("sort", cat="engine"):
-            if batch_size > 0:
-                batches, cleanup = self._sorted_batches(
-                    dataset, sort_key, mapper, batch_size
-                )
-            else:
-                records, cleanup = self._sorted_records(dataset, mapper)
+            ordered, cleanup = self._sorted_input(
+                dataset, sort_key, mapper, batch_size
+            )
         stats.sort_seconds = time.perf_counter() - sort_started
 
         # ---- scan phase ---------------------------------------------------
@@ -508,12 +499,12 @@ class SortScanEngine(Engine):
         try:
             if batch_size > 0:
                 rows = self._scan_batches(
-                    batches, sort_key, mapper, clock, updaters,
+                    ordered, sort_key, mapper, clock, updaters,
                     topo_runtime, sink, stats,
                 )
             else:
                 rows = self._scan_records(
-                    records, mapper, clock, updaters, topo_runtime,
+                    ordered, mapper, clock, updaters, topo_runtime,
                     sink, stats,
                 )
             stats.rows_scanned = rows
@@ -668,91 +659,34 @@ class SortScanEngine(Engine):
         except (TypeError, NotImplementedError):
             return False
 
-    def _spool_sorted(self, dataset: Dataset, mapper):
-        """Two-phase external sort materialized to a temporary flat
-        file, so the sort phase's cost is attributable (Figure 6(e));
-        returns (sorted dataset, cleanup callable)."""
-        fd, path = tempfile.mkstemp(prefix="awra-sorted-", suffix=".bin")
-        os.close(fd)
-        write_flatfile(
-            path,
-            dataset.schema,
-            external_sort(dataset.scan(), mapper, run_size=self.run_size),
-        )
-
-        def cleanup() -> None:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-
-        return FlatFileDataset(path, dataset.schema), cleanup
-
-    def _sorted_batches(
+    def _sorted_input(
         self,
         dataset: Dataset,
         sort_key: SortKey,
         mapper,
         batch_size: int,
     ):
-        """Sort the dataset and return (batch iterable, cleanup).
+        """Sort the dataset; returns (batches or records, cleanup).
 
-        In-memory datasets sort column-wise with a stable
-        ``numpy.lexsort`` over the generalized sort-key part columns —
-        the identical permutation to the scalar path's stable
-        ``sorted(records, key=mapper)``.  Oversized datasets reuse the
-        external sort and re-read the spooled flat file in batches.
+        The batched scan gets ``batch_size``-row batches of the
+        columnar external sort (:func:`sort_dataset`: a stable sort of
+        the sort-key part columns, in memory when the input fits one
+        run) — the identical order to the scalar path's stable
+        ``sorted(records, key=mapper)``, which the scalar scan keeps
+        for inputs that fit in memory and otherwise reads from the
+        same sort as records.
         """
-        if not self._fits_in_memory(dataset):
-            spooled, cleanup = self._spool_sorted(dataset, mapper)
-            return spooled.scan_batches(batch_size), cleanup
-        schema = dataset.schema
-        chunks = list(dataset.scan_batches(batch_size))
-        if not chunks:
-            return [], lambda: None
-        if not all(chunk.vector for chunk in chunks):
-            records = sorted(
-                (
-                    record
-                    for chunk in chunks
-                    for record in chunk.python_rows()
-                ),
-                key=mapper,
+        if batch_size == 0 and self._fits_in_memory(dataset):
+            records = (
+                dataset.records
+                if isinstance(dataset, InMemoryDataset)
+                else dataset.scan()
             )
-            return (
-                batches_from_records(schema, records, batch_size),
-                lambda: None,
-            )
-        width = len(chunks[0].columns)
-        cols = [
-            np.concatenate([chunk.columns[i] for chunk in chunks])
-            if len(chunks) > 1
-            else chunks[0].columns[i]
-            for i in range(width)
-        ]
-        part_cols = [
-            map_column(schema.dimensions[dim].hierarchy, 0, level, cols[dim])
-            for dim, level in sort_key.parts
-        ]
-        order = np.lexsort(tuple(reversed(part_cols)))
-        cols = [col[order] for col in cols]
-        total = len(order)
-        batches = [
-            RecordBatch(
-                schema,
-                [col[s : s + batch_size] for col in cols],
-                min(batch_size, total - s),
-            )
-            for s in range(0, total, batch_size)
-        ]
-        return batches, lambda: None
-
-    def _sorted_records(self, dataset: Dataset, mapper):
-        """Sort the dataset; returns (iterable, cleanup callable)."""
-        if not self._fits_in_memory(dataset):
-            spooled, cleanup = self._spool_sorted(dataset, mapper)
-            return spooled.scan(), cleanup
-        if isinstance(dataset, InMemoryDataset):
-            return sorted(dataset.records, key=mapper), lambda: None
-        return sorted(dataset.scan(), key=mapper), lambda: None
+            return sorted(records, key=mapper), lambda: None
+        ordered = sort_dataset(dataset, sort_key, run_size=self.run_size)
+        if batch_size > 0:
+            return ordered.batches(batch_size), ordered.close
+        return ordered.records(), ordered.close
 
     # -- flush cascade ------------------------------------------------------
 

@@ -35,6 +35,25 @@ def _record_struct(schema: DatasetSchema) -> struct.Struct:
     return struct.Struct(fmt)
 
 
+def record_dtype(schema: DatasetSchema):
+    """One flat-file record as a numpy structured dtype: fields ``d<i>``
+    (``int64``) per dimension, then ``m<j>`` (``float64``) per measure."""
+    fields = [(f"d{i}", "<i8") for i in range(schema.num_dimensions)]
+    fields += [(f"m{j}", "<f8") for j in range(len(schema.measures))]
+    return np.dtype(fields)
+
+
+def write_header(fh, schema: DatasetSchema) -> None:
+    """Start a flat file: the header a :class:`FlatFileDataset` checks.
+    Records follow back to back, written by :func:`write_flatfile` or as
+    :func:`record_dtype` arrays (``ndarray.tofile``)."""
+    fh.write(
+        _HEADER.pack(
+            _MAGIC, _VERSION, schema.record_width, schema.num_dimensions
+        )
+    )
+
+
 def write_flatfile(
     path: str, schema: DatasetSchema, records: Iterable[Record]
 ) -> int:
@@ -42,11 +61,7 @@ def write_flatfile(
     rec_struct = _record_struct(schema)
     count = 0
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC, _VERSION, schema.record_width, schema.num_dimensions
-            )
-        )
+        write_header(fh, schema)
         buffer = bytearray()
         for record in records:
             buffer += rec_struct.pack(*record)
@@ -103,8 +118,6 @@ class FlatFileDataset(Dataset):
 
     def scan(self) -> Iterator[Record]:
         rec_size = self._struct.size
-        num_dims = self.schema.num_dimensions
-        num_measures = len(self.schema.measures)
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
             while True:
@@ -115,11 +128,7 @@ class FlatFileDataset(Dataset):
                     raise StorageError(
                         f"{self.path}: torn read mid-record"
                     )
-                for fields in self._struct.iter_unpack(chunk):
-                    if num_measures:
-                        yield fields[:num_dims] + fields[num_dims:]
-                    else:
-                        yield fields
+                yield from self._struct.iter_unpack(chunk)
 
     def scan_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -137,10 +146,7 @@ class FlatFileDataset(Dataset):
         if batch_size <= 0:
             raise StorageError("batch_size must be positive")
         schema = self.schema
-        num_dims = schema.num_dimensions
-        fields = [(f"d{i}", "<i8") for i in range(num_dims)]
-        fields += [(f"m{j}", "<f8") for j in range(len(schema.measures))]
-        dtype = np.dtype(fields)
+        dtype = record_dtype(schema)
         rec_size = self._struct.size
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
