@@ -10,12 +10,17 @@ algebraic aggregates:
 1. the delta batch alone is evaluated by the one-pass sort/scan engine
    with partial-state capture (:class:`_StateCaptureSink`);
 2. each non-holistic basic node's delta states are merged into its
-   persisted state table;
+   state table — the copy the ingestor kept from its last commit, or
+   the persisted one when that copy is missing or stale;
 3. merged states are finalized into basic value tables, and every
    composite node is re-derived *from tables* in topological order via
    :mod:`repro.engine.semantics` — region-sized work, no fact access;
 4. tables, the appended fact batch, and dirty markers land in one
-   atomic store commit.
+   atomic store commit.  State tables and basic outputs are staged with
+   the delta's keys, so the store re-encodes only those rows and copies
+   the rest of the previous segment as bytes (a table the delta does
+   not touch is not rewritten); composites are written in full.  A
+   failure anywhere before the manifest swap aborts the commit.
 
 Holistic aggregates (median, exact distinct) have no bounded mergeable
 state, so their affected regions are marked dirty instead and the node
@@ -55,7 +60,7 @@ from repro.engine.semantics import (
 from repro.engine.sort_scan import SortScanEngine
 from repro.storage.sink import Sink
 from repro.storage.table import Dataset, InMemoryDataset
-from repro.service.store import MeasureStore, StoreSink
+from repro.service.store import MeasureStore, StoreCommit, StoreSink
 from repro.testkit.failpoints import fire, register
 
 # Ingest-path injection sites, swept by repro.testkit.sweeper: a kill
@@ -170,6 +175,10 @@ class Ingestor:
         reject_invalid_workflow(workflow)
         self.graph: CompiledGraph = compile_workflow(workflow)
         self._engine = SortScanEngine()
+        # Non-holistic basic node -> (state segment file, merged states)
+        # as of this ingestor's last commit; valid only while the store
+        # manifest still names that file.
+        self._resident: dict[str, tuple[str, dict]] = {}
 
     # -- graph helpers -------------------------------------------------
 
@@ -326,81 +335,108 @@ class Ingestor:
             self._engine.evaluate(delta, self.graph, sink=capture)
         fire(FP_DELTA_EVAL)
 
+        # The resident states leave ``self`` for the fold: merging
+        # mutates them (HyperLogLog registers in place), so only a
+        # commit that returns may put them back.
+        resident, self._resident = self._resident, {}
         commit = self.store.begin()
         report = IngestReport(generation=0, records=len(delta))
-
-        with tracer.span("fold", cat="service"):
-            # 1. Merge delta states into stored states (non-holistic),
-            #    or mark affected regions dirty (holistic).
-            merged_tables: dict[str, dict] = {}
-            stored_states = set(self.store.state_nodes())
-            for node in self.graph.basic_nodes:
-                agg = node.agg.function
-                delta_states = capture.states.get(node.name, {})
-                if agg.kind is Kind.HOLISTIC:
-                    commit.mark_dirty(node.name, delta_states.keys())
-                    continue
-                if node.name in stored_states:
-                    table = self.store.read_table(
-                        node.name, kind="states"
-                    )
-                else:
-                    table = {}
-                for key, delta_state in delta_states.items():
-                    if key in table:
-                        table[key] = agg.merge(table[key], delta_state)
-                    else:
-                        table[key] = delta_state
-                merged_tables[node.name] = table
-                commit.put_states(
-                    node.name, node.granularity, table, agg_name=agg.name
-                )
-                report.merged_nodes.append(node.name)
-
-            # 2. The deferred subgraph: every holistic basic node (its
-            #    full table is not materializable from states) plus all
-            #    transitive consumers.  Prior unresolved dirt carries
-            #    over through the commit's dirty bookkeeping.
-            holistic_names = [
-                node.name for node in self._holistic_basics()
-            ]
-            closure = self._dirty_closure(holistic_names)
-            report.dirty_nodes = sorted(holistic_names)
-
-            # 3. Finalize merged basics and re-derive composites from
-            #    tables — no fact rescan on this path.
-            node_tables: dict[str, dict] = {
-                name: finalize_basic(self._node(name), table)
-                for name, table in merged_tables.items()
-            }
-            self._derive_composites(node_tables, skip=closure)
-
-            # 4. Refresh servable outputs; defer those in the closure.
-            for out_name, (node, out_filter) in (
-                self.graph.outputs.items()
-            ):
-                if node.name in closure:
-                    commit.mark_measure_dirty(out_name)
-                    report.deferred_measures.append(out_name)
-                    continue
-                commit.put_values(
-                    out_name,
-                    node.granularity,
-                    self._output_rows(node_tables, node, out_filter),
-                )
-                report.updated_measures.append(out_name)
-
-        # 5. The delta joins the fact log (resolution's input), and
-        #    everything becomes visible at once.
-        fire(FP_FOLD)
-        with tracer.span("commit", cat="service"):
-            commit.append_facts(self.workflow.schema, delta.scan())
-            if meta:
-                commit.update_meta(meta)
-            fire(FP_PRE_COMMIT)
-            report.generation = commit.commit()
+        try:
+            with tracer.span("fold", cat="service"):
+                merged_tables = self._fold(capture, resident, commit, report)
+            # 5. The delta joins the fact log (resolution's input), and
+            #    everything becomes visible at once.
+            fire(FP_FOLD)
+            with tracer.span("commit", cat="service"):
+                commit.append_facts(self.workflow.schema, delta.scan())
+                if meta:
+                    commit.update_meta(meta)
+                fire(FP_PRE_COMMIT)
+                report.generation = commit.commit()
+        except BaseException:
+            commit.abort()
+            raise
+        states = self.store.manifest["states"]
+        self._resident = {
+            name: (states[name]["file"], table)
+            for name, table in merged_tables.items()
+        }
         fire(FP_POST_COMMIT)
         return report
+
+    def _fold(
+        self, capture: _StateCaptureSink, resident: dict,
+        commit: StoreCommit, report: IngestReport,
+    ) -> dict[str, dict]:
+        """Steps 1-4: stage every table the delta changes; returns the
+        merged state tables."""
+        # 1. Merge delta states into stored states (non-holistic),
+        #    or mark affected regions dirty (holistic).  A state table
+        #    is read from disk only when the resident copy is missing
+        #    or no longer the committed one.
+        merged_tables: dict[str, dict] = {}
+        changed: dict[str, Iterable[tuple]] = {}
+        stored_states = self.store.manifest["states"]
+        for node in self.graph.basic_nodes:
+            agg = node.agg.function
+            delta_states = capture.states.get(node.name, {})
+            if agg.kind is Kind.HOLISTIC:
+                commit.mark_dirty(node.name, delta_states.keys())
+                continue
+            held = resident.get(node.name)
+            info = stored_states.get(node.name)
+            if held is not None and info and held[0] == info["file"]:
+                table = held[1]
+            elif info:
+                table = self.store.read_table(node.name, kind="states")
+            else:
+                table = {}
+            for key, delta_state in delta_states.items():
+                if key in table:
+                    table[key] = agg.merge(table[key], delta_state)
+                else:
+                    table[key] = delta_state
+            merged_tables[node.name] = table
+            changed[node.name] = delta_states.keys()
+            commit.put_states(
+                node.name, node.granularity, table, agg_name=agg.name,
+                changed=changed[node.name],
+            )
+            report.merged_nodes.append(node.name)
+
+        # 2. The deferred subgraph: every holistic basic node (its
+        #    full table is not materializable from states) plus all
+        #    transitive consumers.  Prior unresolved dirt carries
+        #    over through the commit's dirty bookkeeping.
+        holistic_names = [node.name for node in self._holistic_basics()]
+        closure = self._dirty_closure(holistic_names)
+        report.dirty_nodes = sorted(holistic_names)
+
+        # 3. Finalize merged basics and re-derive composites from
+        #    tables — no fact rescan on this path.
+        node_tables: dict[str, dict] = {
+            name: finalize_basic(self._node(name), table)
+            for name, table in merged_tables.items()
+        }
+        self._derive_composites(node_tables, skip=closure)
+
+        # 4. Refresh servable outputs; defer those in the closure.  A
+        #    basic output changes only at the delta's keys (a filtered
+        #    one may drop them), so its segment is spliced; composites
+        #    are written in full.
+        for out_name, (node, out_filter) in self.graph.outputs.items():
+            if node.name in closure:
+                commit.mark_measure_dirty(out_name)
+                report.deferred_measures.append(out_name)
+                continue
+            commit.put_values(
+                out_name,
+                node.granularity,
+                self._output_rows(node_tables, node, out_filter),
+                changed=changed.get(node.name),
+            )
+            report.updated_measures.append(out_name)
+        return merged_tables
 
     def _node(self, name: str) -> Node:
         for node in self.graph.nodes:

@@ -346,7 +346,13 @@ class MeasureService(SingleTenant):
     ) -> IngestReport:
         """Fold a delta batch in; invalidates affected measure caches."""
         with self._lock:
-            report = self.ingestor.ingest(records, meta=meta)
+            try:
+                report = self.ingestor.ingest(records, meta=meta)
+            except BaseException:
+                # A failure after the manifest swap has still landed
+                # the delta, so no cached answer can be trusted.
+                self._invalidate(list(self._caches))
+                raise
             self._invalidate(
                 report.updated_measures + report.deferred_measures
             )

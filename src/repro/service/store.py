@@ -31,6 +31,18 @@ written to a temporary file and atomically swapped in with
 — the half-written segments are orphans, ignored and garbage-collected
 on the next open.  A crash after the swap leaves the new state fully
 durable.  Readers therefore always see a consistent generation.
+
+Delta-proportional writes: a table staged with the set of keys whose
+rows may have changed (the ingest path does this for state tables and
+basic outputs) is *spliced* — the new segment is the committed one
+with only those rows re-encoded, inserted or removed, and the sparse
+index is rebuilt from the new row offsets.  That needs the committed
+segment's row keys and offsets, which this store object keeps for the
+tables it last wrote this way.  The files are byte-identical to a full
+write, so the format and every read path are unchanged.  A write
+without a key set (bootstrap, resolution), or of a table whose rows
+this object does not know (after a reopen, or after a full write),
+encodes every row.
 """
 
 from __future__ import annotations
@@ -39,8 +51,11 @@ import contextlib
 import json
 import os
 import time
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
+from typing import NamedTuple
 
 from repro.errors import StorageError
 from repro.obs import get_registry, get_tracer
@@ -151,6 +166,90 @@ def _load_row(line: bytes) -> tuple[tuple, object]:
     return tuple(key), decode_cell(value)
 
 
+# -- segment encoding ------------------------------------------------------
+
+
+class _Segment(NamedTuple):
+    """A segment's bytes, as ``chunks`` to write in order, with the key
+    and byte offset of every row.
+
+    ``offsets`` has one entry per row plus the total length, so row
+    ``i`` is ``data[offsets[i]:offsets[i + 1]]`` of the written file.
+    """
+
+    keys: list
+    offsets: array
+    chunks: list
+
+
+class _SparseIndex(NamedTuple):
+    """A loaded ``.idx`` file: every ``every``-th row's key and offset.
+
+    Keys are tuples, so lookups bisect them without converting.
+    """
+
+    every: int
+    keys: list
+    offsets: list
+
+
+def _encode(rows: dict) -> _Segment:
+    """Every row of ``rows``, sorted by key — a full segment."""
+    keys = sorted(rows)
+    lines = [_dump_row(key, rows[key]) for key in keys]
+    offsets = array("q", [0])
+    offsets.extend(accumulate(map(len, lines)))
+    return _Segment(keys, offsets, lines)
+
+
+def _splice(
+    keys: list, offsets: array, data: bytes, rows: dict,
+    changed: Iterable[tuple],
+) -> _Segment:
+    """The segment ``data`` (rows ``keys`` at ``offsets``) with the rows
+    of ``changed`` re-encoded from ``rows``.
+
+    A changed key present in ``rows`` is replaced or inserted; one
+    absent from ``rows`` is removed.  Every other row is copied as
+    bytes, so when ``rows`` agrees with ``data`` outside ``changed`` the
+    result is byte for byte what :func:`_encode` makes of ``rows``.
+    """
+    view = memoryview(data)
+    out_keys: list = []
+    out_offsets = array("q")
+    chunks: list = []
+    size = 0  # bytes emitted so far
+    done = 0  # rows of ``data`` consumed so far
+
+    def copy_rows(upto: int) -> None:
+        # Rows done..upto are unchanged: copy their bytes and shift
+        # their offsets to where they now start.
+        nonlocal size
+        if upto <= done:
+            return
+        start, end = offsets[done], offsets[upto]
+        out_keys.extend(keys[done:upto])
+        run = offsets[done:upto]
+        shift = size - start
+        out_offsets.extend(map(shift.__add__, run) if shift else run)
+        chunks.append(view[start:end])
+        size += end - start
+
+    for key in sorted(set(changed)):
+        at = bisect_left(keys, key, done)
+        copy_rows(at)
+        done = at + 1 if at < len(keys) and keys[at] == key else at
+        if key in rows:
+            line = _dump_row(key, rows[key])
+            out_keys.append(key)
+            out_offsets.append(size)
+            chunks.append(line)
+            size += len(line)
+    copy_rows(len(keys))
+    out_offsets.append(size)
+    return _Segment(out_keys, out_offsets, chunks)
+
+
 def _fsync_file(fh) -> None:
     fh.flush()
     os.fsync(fh.fileno())
@@ -192,7 +291,14 @@ class MeasureStore:
         self.path = path
         self._segment_dir = os.path.join(path, _SEGMENT_DIR)
         os.makedirs(self._segment_dir, exist_ok=True)
-        self._index_cache: dict[str, dict] = {}
+        # Sparse indexes by .idx file name: only live tables' (commit
+        # evicts the ones it replaces and seeds the ones it writes).
+        self._index_cache: dict[str, _SparseIndex] = {}
+        # (kind, name) -> (segment file, row keys, row offsets) for
+        # tables last written with a changed-key set: what the next such
+        # write needs to splice into that file, valid while the manifest
+        # still names it.
+        self._images: dict[tuple[str, str], tuple[str, list, array]] = {}
         manifest_path = os.path.join(path, _MANIFEST)
         # A commit that crashed between writing the new manifest and
         # swapping it in leaves a stale (possibly torn) temp file; it
@@ -288,7 +394,7 @@ class MeasureStore:
     def _segment_path(self, info: dict) -> str:
         return os.path.join(self._segment_dir, info["file"])
 
-    def _index_of(self, info: dict) -> dict:
+    def _index_of(self, info: dict) -> _SparseIndex:
         """Load (and cache) a segment's sparse index.
 
         Segment files are immutable once committed, so caching by file
@@ -298,7 +404,13 @@ class MeasureStore:
         if cached is None:
             path = os.path.join(self._segment_dir, info["index"])
             with open(path, "r", encoding="utf-8") as fh:
-                cached = json.load(fh)
+                loaded = json.load(fh)
+            entries = loaded["entries"]
+            cached = _SparseIndex(
+                loaded["every"],
+                [tuple(entry[0]) for entry in entries],
+                [entry[1] for entry in entries],
+            )
             self._index_cache[info["index"]] = cached
         return cached
 
@@ -329,14 +441,13 @@ class MeasureStore:
         """
         info = self.table_info(name, kind)
         index = self._index_of(info)
-        entries = index["entries"]
-        entry_keys = [entry[0] for entry in entries]
-        slot = bisect_right(entry_keys, list(key)) - 1
+        key = tuple(key)
+        slot = bisect_right(index.keys, key) - 1
         if slot < 0:
             raise KeyError(key)
         with open(self._segment_path(info), "rb") as fh:
-            fh.seek(entries[slot][1])
-            for __ in range(index["every"]):
+            fh.seek(index.offsets[slot])
+            for __ in range(index.every):
                 line = fh.readline()
                 if not line:
                     break
@@ -363,15 +474,13 @@ class MeasureStore:
         start = 0
         if width:
             index = self._index_of(info)
-            entries = index["entries"]
-            entry_keys = [entry[0] for entry in entries]
             # The last index entry strictly before the prefix region is
-            # a safe starting point: a shorter list compares less than
-            # any list it prefixes, so bisect_right on the raw prefix
+            # a safe starting point: a shorter tuple compares less than
+            # any tuple it prefixes, so bisect_right on the raw prefix
             # lands at the first key that could match.
-            slot = bisect_right(entry_keys, list(prefix)) - 1
+            slot = bisect_right(index.keys, prefix) - 1
             if slot >= 0:
-                start = entries[slot][1]
+                start = index.offsets[slot]
         with open(self._segment_path(info), "rb") as fh:
             fh.seek(start)
             for line in fh:
@@ -452,7 +561,8 @@ class StoreCommit:
     and metadata updates, then :meth:`commit`.  Data files land on disk
     as they are staged (fsynced, but unreferenced); nothing becomes
     visible until the manifest swap.  :meth:`abort` (or crashing)
-    leaves the store exactly as it was.
+    leaves the store exactly as it was, and so does a :meth:`commit`
+    that fails before its swap.
     """
 
     def __init__(self, store: MeasureStore) -> None:
@@ -468,7 +578,12 @@ class StoreCommit:
         self._dirty_measures = set(store.dirty_measures())
         self._meta_updates: dict = {}
         self._staged_files: list[str] = []
+        # (kind, name) -> image of changed-key writes, and .idx file ->
+        # sparse index of every table write.
+        self._staged_images: dict[tuple[str, str], tuple[str, list, array]] = {}
+        self._staged_indexes: dict[str, _SparseIndex] = {}
         self._done = False
+        self._swapped = False
 
     def _claim_file(self, prefix: str, suffix: str) -> str:
         name = f"{prefix}{self._next_file:06d}{suffix}"
@@ -476,59 +591,104 @@ class StoreCommit:
         self._staged_files.append(name)
         return name
 
-    def _write_segment(self, rows: dict) -> tuple[str, str, int]:
+    def _write_segment(self, segment: _Segment) -> tuple[str, str]:
         seg_name = self._claim_file("t", ".seg")
         idx_name = seg_name[:-4] + ".idx"
         self._staged_files.append(idx_name)
         seg_path = os.path.join(self.store._segment_dir, seg_name)
         idx_path = os.path.join(self.store._segment_dir, idx_name)
-        items = sorted(rows.items())
-        entries = []
-        offset = 0
         with open(seg_path, "wb") as fh:
-            for i, (key, value) in enumerate(items):
-                if i % INDEX_EVERY == 0:
-                    entries.append([list(key), offset])
-                line = _dump_row(key, value)
-                fh.write(line)
-                offset += len(line)
+            fh.writelines(segment.chunks)
             fire(FP_SEGMENT_WRITE, path=seg_path)
             _fsync_file(fh)
         fire(FP_SEGMENT_FSYNC, path=seg_path)
+        count = len(segment.keys)
+        index = _SparseIndex(
+            INDEX_EVERY,
+            segment.keys[::INDEX_EVERY],
+            list(segment.offsets[:count:INDEX_EVERY]),
+        )
         with open(idx_path, "w", encoding="utf-8") as fh:
             json.dump(
-                {"every": INDEX_EVERY, "entries": entries,
-                 "rows": len(items)},
+                {
+                    "every": INDEX_EVERY,
+                    "entries": [
+                        [list(key), offset]
+                        for key, offset in zip(index.keys, index.offsets)
+                    ],
+                    "rows": count,
+                },
                 fh,
             )
             _fsync_file(fh)
-        return seg_name, idx_name, len(items)
+        self._staged_indexes[idx_name] = index
+        return seg_name, idx_name
 
-    def put_values(
-        self, name: str, granularity: Granularity, rows: dict
+    def _put_table(
+        self, kind: str, name: str, granularity: Granularity, rows: dict,
+        changed, **extra,
     ) -> None:
-        """Stage one servable measure table (replaces any prior one)."""
-        seg, idx, count = self._write_segment(rows)
-        self._staged_values[name] = {
+        """Stage ``rows`` as table ``name`` of namespace ``kind``.
+
+        With ``changed`` — the keys whose rows may differ from the
+        committed table — an empty set stages nothing, and otherwise
+        the write splices those rows into the committed segment when
+        this store wrote it the same way (so it knows the segment's row
+        keys and offsets).  Without it, or without that, every row is
+        encoded.  Both give the same files.
+        """
+        store = self.store
+        committed = store.manifest[kind].get(name)
+        segment = None
+        if changed is not None and committed is not None:
+            if not changed:
+                return
+            image = store._images.get((kind, name))
+            if image is not None and image[0] == committed["file"]:
+                file, keys, offsets = image
+                with open(os.path.join(store._segment_dir, file), "rb") as fh:
+                    data = fh.read()
+                if len(data) == offsets[-1]:
+                    segment = _splice(keys, offsets, data, rows, changed)
+        if segment is None:
+            segment = _encode(rows)
+        seg, idx = self._write_segment(segment)
+        if changed is not None:
+            self._staged_images[(kind, name)] = (
+                seg, segment.keys, segment.offsets
+            )
+        staged = (
+            self._staged_values if kind == "values" else self._staged_states
+        )
+        staged[name] = {
             "file": seg,
             "index": idx,
             "levels": list(granularity.levels),
-            "rows": count,
+            "rows": len(segment.keys),
+            **extra,
         }
+
+    def put_values(
+        self, name: str, granularity: Granularity, rows: dict,
+        changed: Iterable[tuple] | None = None,
+    ) -> None:
+        """Stage one servable measure table (replaces any prior one).
+
+        ``changed``, when given, holds every key whose row may differ
+        from the committed table (a key missing from ``rows`` is a
+        removal); the write then costs in proportion to it.
+        """
+        self._put_table("values", name, granularity, rows, changed)
 
     def put_states(
         self, name: str, granularity: Granularity, rows: dict,
-        agg_name: str = "",
+        agg_name: str = "", changed: Iterable[tuple] | None = None,
     ) -> None:
-        """Stage one basic node's accumulator-state table."""
-        seg, idx, count = self._write_segment(rows)
-        self._staged_states[name] = {
-            "file": seg,
-            "index": idx,
-            "levels": list(granularity.levels),
-            "rows": count,
-            "agg": agg_name,
-        }
+        """Stage one basic node's accumulator-state table
+        (``changed`` as for :meth:`put_values`)."""
+        self._put_table(
+            "states", name, granularity, rows, changed, agg=agg_name
+        )
 
     def append_facts(
         self, schema: DatasetSchema, records: Iterable[Record]
@@ -571,18 +731,25 @@ class StoreCommit:
         self._meta_updates.update(updates)
 
     def abort(self) -> None:
-        """Discard the staged commit and remove its data files."""
+        """Discard the staged commit: remove its data files and any temp
+        manifest.  Once the manifest swap has happened this does
+        nothing — the staged files are then the store's."""
         self._done = True
+        if self._swapped:
+            return
         for name in self._staged_files:
             with contextlib.suppress(OSError):
                 os.remove(os.path.join(self.store._segment_dir, name))
+        with contextlib.suppress(OSError):
+            os.remove(os.path.join(self.store.path, _MANIFEST + ".tmp"))
 
     def commit(self) -> int:
         """Swap the new manifest in atomically; returns the generation.
 
         Everything staged becomes visible at once; segment files
         replaced by this commit are deleted afterwards (failures there
-        are harmless — the next open garbage-collects orphans).
+        are harmless — the next open garbage-collects orphans).  A
+        commit that fails before the swap aborts itself.
         """
         if self._done:
             raise StorageError("commit object already finished")
@@ -615,23 +782,31 @@ class StoreCommit:
 
         manifest_path = os.path.join(store.path, _MANIFEST)
         tmp_path = manifest_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh)
-            _fsync_file(fh)
-        fire(FP_MANIFEST_WRITE, path=tmp_path)
-        os.replace(tmp_path, manifest_path)
-        # No path here: post-swap the manifest is authoritative, and a
-        # torn authoritative manifest is outside the protocol's fault
-        # model (fsync + atomic replace rule it out).
-        fire(FP_MANIFEST_SWAP)
+        try:
+            with open(tmp_path, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh)
+                _fsync_file(fh)
+            fire(FP_MANIFEST_WRITE, path=tmp_path)
+            os.replace(tmp_path, manifest_path)
+        except BaseException:
+            self.abort()
+            raise
+        self._swapped = True
         store.manifest = manifest
-        fire(FP_REPLACED_GC)
-        for info in replaced:
-            for filename in (info["file"], info["index"]):
-                with contextlib.suppress(OSError):
-                    os.remove(
-                        os.path.join(store._segment_dir, filename)
-                    )
+        self._install(replaced)
+        try:
+            # No path here: post-swap the manifest is authoritative, and
+            # a torn authoritative manifest is outside the protocol's
+            # fault model (fsync + atomic replace rule it out).
+            fire(FP_MANIFEST_SWAP)
+            fire(FP_REPLACED_GC)
+        finally:
+            for info in replaced:
+                for filename in (info["file"], info["index"]):
+                    with contextlib.suppress(OSError):
+                        os.remove(
+                            os.path.join(store._segment_dir, filename)
+                        )
         duration = time.perf_counter() - started
         registry = get_registry()
         registry.histogram(
@@ -656,6 +831,22 @@ class StoreCommit:
             args={"generation": manifest["generation"]},
         )
         return manifest["generation"]
+
+    def _install(self, replaced: list[dict]) -> None:
+        """Point the store's in-memory caches at what was just swapped
+        in: indexes of replaced tables go, those written are seeded,
+        and splice bases follow their tables."""
+        store = self.store
+        cache = store._index_cache
+        for info in replaced:
+            cache.pop(info["index"], None)
+        for kind, staged in (
+            ("values", self._staged_values), ("states", self._staged_states)
+        ):
+            for name, info in staged.items():
+                cache[info["index"]] = self._staged_indexes[info["index"]]
+                store._images.pop((kind, name), None)
+        store._images.update(self._staged_images)
 
 
 class StoreSink(Sink):
