@@ -29,6 +29,56 @@ from repro.storage.sink import Sink
 from repro.storage.table import Dataset
 
 
+#: How often (in records) the scalar fill checks a memory budget.
+BUDGET_CHECK_INTERVAL = 4096
+
+
+def fill_basic_tables(
+    dataset: Dataset,
+    basic_state: list[tuple[BasicNode, dict]],
+    batch_size: int,
+    budget: int | None = None,
+) -> int:
+    """One unsorted scan of ``dataset`` into every basic node's hash
+    table of accumulator states; returns the rows scanned.
+
+    ``batch_size > 0`` hash-groups columnar batches
+    (:class:`~repro.engine.batch.BasicBatchUpdater`), ``0`` folds one
+    record at a time.  With a ``budget``, exceeding that many resident
+    entries raises :class:`~repro.errors.MemoryBudgetExceeded` (checked
+    per batch, or every :data:`BUDGET_CHECK_INTERVAL` records, and at
+    the end).
+    """
+
+    def check() -> None:
+        resident = sum(len(table) for __, table in basic_state)
+        if resident > budget:
+            raise MemoryBudgetExceeded(
+                resident, budget, where="single-scan basic tables"
+            )
+
+    rows = 0
+    if batch_size > 0:
+        updaters = [
+            BasicBatchUpdater(node, table) for node, table in basic_state
+        ]
+        for batch in dataset.scan_batches(batch_size):
+            for updater in updaters:
+                updater.apply(batch)
+            rows += len(batch)
+            if budget is not None:
+                check()
+    else:
+        for record in dataset.scan():
+            update_basic_tables(record, basic_state)
+            rows += 1
+            if budget is not None and rows % BUDGET_CHECK_INTERVAL == 0:
+                check()
+    if budget is not None:
+        check()
+    return rows
+
+
 class SingleScanEngine(Engine):
     """One unsorted scan; all hash tables resident until the end.
 
@@ -48,9 +98,6 @@ class SingleScanEngine(Engine):
     """
 
     name = "single-scan"
-
-    #: How often (in records) the budget is checked during the scan.
-    BUDGET_CHECK_INTERVAL = 4096
 
     def __init__(
         self,
@@ -76,47 +123,10 @@ class SingleScanEngine(Engine):
         ]
 
         scan_started = time.perf_counter()
-        rows = 0
-        if batch_size > 0:
-            updaters = [
-                BasicBatchUpdater(node, table)
-                for node, table in basic_state
-            ]
-            for batch in dataset.scan_batches(batch_size):
-                for updater in updaters:
-                    updater.apply(batch)
-                rows += len(batch)
-                if budget is not None:
-                    resident = sum(len(t) for __, t in basic_state)
-                    if resident > budget:
-                        raise MemoryBudgetExceeded(
-                            resident,
-                            budget,
-                            where="single-scan basic tables",
-                        )
-        else:
-            for record in dataset.scan():
-                update_basic_tables(record, basic_state)
-                rows += 1
-                if (
-                    budget is not None
-                    and rows % self.BUDGET_CHECK_INTERVAL == 0
-                ):
-                    resident = sum(len(t) for __, t in basic_state)
-                    if resident > budget:
-                        raise MemoryBudgetExceeded(
-                            resident,
-                            budget,
-                            where="single-scan basic tables",
-                        )
-        stats.rows_scanned = rows
+        stats.rows_scanned = fill_basic_tables(
+            dataset, basic_state, batch_size, budget
+        )
         stats.scans = 1
-        if budget is not None:
-            resident = sum(len(t) for __, t in basic_state)
-            if resident > budget:
-                raise MemoryBudgetExceeded(
-                    resident, budget, where="single-scan basic tables"
-                )
 
         tables: dict[str, dict] = {
             node.name: finalize_basic(node, raw)

@@ -466,7 +466,7 @@ class SortScanEngine(Engine):
                 for arc in rt.node.out_arcs
             ]
         if sink.wants_states:
-            # Partial-state capture (the measure service's ingestion
+            # Partial-state capture (the measure service's bootstrap
             # hook): announce every basic node so the sink can set up
             # one state table per fact-facing measure.
             for node in graph.basic_nodes:

@@ -7,20 +7,24 @@ each batch (:meth:`~repro.aggregates.base.AggregateFunction.merge`).
 Ingestion therefore never rescans old facts for distributive or
 algebraic aggregates:
 
-1. the delta batch alone is evaluated by the one-pass sort/scan engine
-   with partial-state capture (:class:`_StateCaptureSink`);
+1. the delta batch alone is hash-grouped into per-basic-node states
+   by the single-scan kernel (:func:`fill_basic_tables`) — no sort and
+   no composite of the delta is ever derived;
 2. each non-holistic basic node's delta states are merged into its
    state table — the copy the ingestor kept from its last commit, or
    the persisted one when that copy is missing or stale;
-3. merged states are finalized into basic value tables, and every
-   composite node is re-derived *from tables* in topological order via
-   :mod:`repro.engine.semantics` — region-sized work, no fact access;
+3. only the delta's keys are finalized into the basic value tables,
+   and :func:`~repro.engine.semantics.propagate` maps the changed keys
+   along every composite's arcs in topological order and re-evaluates
+   just the cells they reach — with the code a full derivation runs,
+   so the tables equal one exactly.  These tables stay resident beside
+   the states, under the same validity rule;
 4. tables, the appended fact batch, and dirty markers land in one
-   atomic store commit.  State tables and basic outputs are staged with
-   the delta's keys, so the store re-encodes only those rows and copies
-   the rest of the previous segment as bytes (a table the delta does
-   not touch is not rewritten); composites are written in full.  A
-   failure anywhere before the manifest swap aborts the commit.
+   atomic store commit.  Every table is staged with its changed keys,
+   so the store re-encodes only those rows and copies the rest of the
+   previous segment as bytes (a table the delta does not reach is not
+   rewritten).  A failure anywhere before the manifest swap aborts the
+   commit.
 
 Holistic aggregates (median, exact distinct) have no bounded mergeable
 state, so their affected regions are marked dirty instead and the node
@@ -36,6 +40,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from repro.errors import ServiceError
 from repro.obs import get_registry, get_tracer
@@ -45,7 +50,6 @@ from repro.obs.metrics import (
     INGEST_RECORDS,
 )
 from repro.aggregates.base import Kind
-from repro.cube.granularity import Granularity
 from repro.engine.compile import (
     BasicNode,
     CompiledGraph,
@@ -53,12 +57,15 @@ from repro.engine.compile import (
     compile_workflow,
 )
 from repro.engine.semantics import (
+    FilteredTable,
     eval_node_from_tables,
     finalize_basic,
-    update_basic_tables,
+    member_index,
+    propagate,
 )
+from repro.engine.single_scan import fill_basic_tables
 from repro.engine.sort_scan import SortScanEngine
-from repro.storage.sink import Sink
+from repro.storage.columnar import resolve_batch_size
 from repro.storage.table import Dataset, InMemoryDataset
 from repro.service.store import MeasureStore, StoreCommit, StoreSink
 from repro.testkit.failpoints import fire, register
@@ -89,22 +96,17 @@ FP_POST_COMMIT = register(
 WORKFLOW_FILE = "workflow.pkl"
 
 
-class _StateCaptureSink(Sink):
-    """Collects raw basic-node states of a delta run; discards values."""
+class _Resident(NamedTuple):
+    """What an ingestor keeps between its commits: each non-holistic
+    basic node's merged states, the finalized basic tables and every
+    non-deferred composite table derived from them, and the indexes
+    :func:`~repro.engine.semantics.propagate` follows.  Valid only while
+    the manifest still names the state files in ``tag``."""
 
-    wants_states = True
-
-    def __init__(self) -> None:
-        self.states: dict[str, dict] = {}
-
-    def emit(self, name: str, key: tuple, value) -> None:
-        """Finalized delta values are meaningless pre-merge; drop them."""
-
-    def open_states(self, name: str, granularity: Granularity) -> None:
-        self.states.setdefault(name, {})
-
-    def emit_state(self, name: str, key: tuple, state) -> None:
-        self.states[name][key] = state
+    tag: tuple
+    states: dict[str, dict]
+    tables: dict[str, dict]
+    indexes: dict[str, dict | None]
 
 
 @dataclass
@@ -175,10 +177,18 @@ class Ingestor:
         reject_invalid_workflow(workflow)
         self.graph: CompiledGraph = compile_workflow(workflow)
         self._engine = SortScanEngine()
-        # Non-holistic basic node -> (state segment file, merged states)
-        # as of this ingestor's last commit; valid only while the store
-        # manifest still names that file.
-        self._resident: dict[str, tuple[str, dict]] = {}
+        self._nodes: dict[str, Node] = {n.name: n for n in self.graph.nodes}
+        # The deferred subgraph: every holistic basic node (its full
+        # table is not materializable from states) plus all transitive
+        # consumers; the rest is maintained incrementally.
+        self._closure = self._dirty_closure(
+            node.name for node in self._holistic_basics()
+        )
+        self._derived = [
+            node for node in self.graph.nodes
+            if not isinstance(node, BasicNode) and node.name not in self._closure
+        ]
+        self._resident: _Resident | None = None
 
     # -- graph helpers -------------------------------------------------
 
@@ -191,9 +201,8 @@ class Ingestor:
 
     def _dirty_closure(self, names: Iterable[str]) -> set[str]:
         """Transitive consumers of ``names`` (the deferred subgraph)."""
-        by_name: dict[str, Node] = {n.name: n for n in self.graph.nodes}
         closure: set[str] = set()
-        frontier = [by_name[name] for name in names if name in by_name]
+        frontier = [self._nodes[name] for name in names if name in self._nodes]
         while frontier:
             node = frontier.pop()
             if node.name in closure:
@@ -205,29 +214,44 @@ class Ingestor:
     def _derive_composites(
         self, node_tables: dict[str, dict], skip: set[str]
     ) -> None:
-        """Fill ``node_tables`` for every composite not in ``skip``.
-
-        Nodes are visited in the graph's topological order, so each
-        composite's inputs are already present.  Composites in ``skip``
-        (the dirty closure) are deferred to resolution.
-        """
+        """Fill ``node_tables`` for every composite not in ``skip``, in
+        topological order (so each one's inputs are already present)."""
         for node in self.graph.nodes:
             if isinstance(node, BasicNode) or node.name in skip:
                 continue
-            node_tables[node.name] = eval_node_from_tables(
-                node, node_tables
-            )
+            node_tables[node.name] = eval_node_from_tables(node, node_tables)
+
+    def _state_files(self) -> tuple:
+        return tuple(sorted(
+            (name, info["file"])
+            for name, info in self.store.manifest["states"].items()
+        ))
+
+    def _load(self) -> _Resident:
+        """The resident tables rebuilt from the persisted states."""
+        stored, read = self.store.manifest["states"], self.store.read_table
+        states = {
+            node.name: read(node.name, "states") if node.name in stored else {}
+            for node in self.graph.basic_nodes
+            if node.agg.function.kind is not Kind.HOLISTIC
+        }
+        tables = {
+            name: finalize_basic(self._nodes[name], raw)
+            for name, raw in states.items()
+        }
+        self._derive_composites(tables, skip=self._closure)
+        indexes = {node.name: member_index(node, tables) for node in self._derived}
+        return _Resident(self._state_files(), states, tables, indexes)
+
+    def _valid_resident(self) -> _Resident | None:
+        resident = self._resident
+        valid = resident is not None and resident.tag == self._state_files()
+        return resident if valid else None
 
     @staticmethod
-    def _output_rows(node_tables, node, out_filter) -> dict:
+    def _output_rows(node_tables, node, out_filter):
         rows = node_tables[node.name]
-        if out_filter is None:
-            return rows
-        return {
-            key: value
-            for key, value in rows.items()
-            if out_filter(key, value)
-        }
+        return rows if out_filter is None else FilteredTable(rows, out_filter)
 
     def _as_dataset(self, records) -> Dataset:
         if isinstance(records, Dataset):
@@ -331,19 +355,20 @@ class Ingestor:
     ) -> IngestReport:
         with tracer.span("delta-eval", cat="service"):
             delta = self._as_dataset(records)
-            capture = _StateCaptureSink()
-            self._engine.evaluate(delta, self.graph, sink=capture)
+            delta_states = [(node, {}) for node in self.graph.basic_nodes]
+            fill_basic_tables(delta, delta_states, resolve_batch_size(None))
         fire(FP_DELTA_EVAL)
 
-        # The resident states leave ``self`` for the fold: merging
-        # mutates them (HyperLogLog registers in place), so only a
-        # commit that returns may put them back.
-        resident, self._resident = self._resident, {}
+        # The resident tables leave ``self`` for the fold: merging and
+        # propagation mutate them (HyperLogLog registers in place), so
+        # only a commit that returns may put them back.
+        resident = self._valid_resident()
+        self._resident = None
         commit = self.store.begin()
         report = IngestReport(generation=0, records=len(delta))
         try:
             with tracer.span("fold", cat="service"):
-                merged_tables = self._fold(capture, resident, commit, report)
+                resident = self._fold(delta_states, resident, commit, report)
             # 5. The delta joins the fact log (resolution's input), and
             #    everything becomes visible at once.
             fire(FP_FOLD)
@@ -356,93 +381,65 @@ class Ingestor:
         except BaseException:
             commit.abort()
             raise
-        states = self.store.manifest["states"]
-        self._resident = {
-            name: (states[name]["file"], table)
-            for name, table in merged_tables.items()
-        }
+        self._resident = resident._replace(tag=self._state_files())
         fire(FP_POST_COMMIT)
         return report
 
     def _fold(
-        self, capture: _StateCaptureSink, resident: dict,
+        self, delta_states: list, resident: _Resident | None,
         commit: StoreCommit, report: IngestReport,
-    ) -> dict[str, dict]:
-        """Steps 1-4: stage every table the delta changes; returns the
-        merged state tables."""
-        # 1. Merge delta states into stored states (non-holistic),
-        #    or mark affected regions dirty (holistic).  A state table
-        #    is read from disk only when the resident copy is missing
-        #    or no longer the committed one.
-        merged_tables: dict[str, dict] = {}
+    ) -> _Resident:
+        """Steps 2-4: stage every table the delta changes; returns the
+        patched resident tables."""
+        # 2. Merge delta states into the stored states (non-holistic),
+        #    or mark affected regions dirty (holistic).  The state
+        #    tables are read from disk only when the resident copy is
+        #    missing or no longer the committed one.
+        if resident is None:
+            resident = self._load()
+        states, tables = resident.states, resident.tables
         changed: dict[str, Iterable[tuple]] = {}
-        stored_states = self.store.manifest["states"]
-        for node in self.graph.basic_nodes:
+        for node, fresh in delta_states:
             agg = node.agg.function
-            delta_states = capture.states.get(node.name, {})
             if agg.kind is Kind.HOLISTIC:
-                commit.mark_dirty(node.name, delta_states.keys())
+                commit.mark_dirty(node.name, fresh.keys())
+                report.dirty_nodes.append(node.name)
                 continue
-            held = resident.get(node.name)
-            info = stored_states.get(node.name)
-            if held is not None and info and held[0] == info["file"]:
-                table = held[1]
-            elif info:
-                table = self.store.read_table(node.name, kind="states")
-            else:
-                table = {}
-            for key, delta_state in delta_states.items():
-                if key in table:
-                    table[key] = agg.merge(table[key], delta_state)
-                else:
-                    table[key] = delta_state
-            merged_tables[node.name] = table
-            changed[node.name] = delta_states.keys()
+            merged, values = states[node.name], tables[node.name]
+            for key, state in fresh.items():
+                if key in merged:
+                    state = agg.merge(merged[key], state)
+                merged[key] = state
+                values[key] = agg.finalize(state)
+            changed[node.name] = fresh.keys()
             commit.put_states(
-                node.name, node.granularity, table, agg_name=agg.name,
-                changed=changed[node.name],
+                node.name, node.granularity, merged, agg_name=agg.name,
+                changed=fresh.keys(),
             )
             report.merged_nodes.append(node.name)
+        report.dirty_nodes.sort()
 
-        # 2. The deferred subgraph: every holistic basic node (its
-        #    full table is not materializable from states) plus all
-        #    transitive consumers.  Prior unresolved dirt carries
-        #    over through the commit's dirty bookkeeping.
-        holistic_names = [node.name for node in self._holistic_basics()]
-        closure = self._dirty_closure(holistic_names)
-        report.dirty_nodes = sorted(holistic_names)
+        # 3. Only the delta's keys were finalized; carry the change
+        #    through every composite outside the deferred subgraph.
+        propagate(self._derived, tables, changed, resident.indexes)
 
-        # 3. Finalize merged basics and re-derive composites from
-        #    tables — no fact rescan on this path.
-        node_tables: dict[str, dict] = {
-            name: finalize_basic(self._node(name), table)
-            for name, table in merged_tables.items()
-        }
-        self._derive_composites(node_tables, skip=closure)
-
-        # 4. Refresh servable outputs; defer those in the closure.  A
-        #    basic output changes only at the delta's keys (a filtered
-        #    one may drop them), so its segment is spliced; composites
-        #    are written in full.
+        # 4. Refresh servable outputs at their changed keys (a filtered
+        #    output may drop them); defer those in the closure.  Prior
+        #    unresolved dirt carries over through the commit's dirty
+        #    bookkeeping.
         for out_name, (node, out_filter) in self.graph.outputs.items():
-            if node.name in closure:
+            if node.name in self._closure:
                 commit.mark_measure_dirty(out_name)
                 report.deferred_measures.append(out_name)
                 continue
             commit.put_values(
                 out_name,
                 node.granularity,
-                self._output_rows(node_tables, node, out_filter),
-                changed=changed.get(node.name),
+                self._output_rows(tables, node, out_filter),
+                changed=changed[node.name],
             )
             report.updated_measures.append(out_name)
-        return merged_tables
-
-    def _node(self, name: str) -> Node:
-        for node in self.graph.nodes:
-            if node.name == name:
-                return node
-        raise ServiceError(f"graph has no node {name!r}")
+        return resident
 
     # -- lazy resolution -----------------------------------------------
 
@@ -452,7 +449,8 @@ class Ingestor:
         Holistic basic nodes are recomputed in a single scan of the
         store's fact log; everything downstream is re-derived from
         tables.  Distributive/algebraic basics are *never* recomputed
-        here — their finalized tables come from the persisted states.
+        here — their tables are the resident ones or come from the
+        persisted states.
         Returns True when work was done.
         """
         dirty_nodes = self.store.dirty_nodes()
@@ -475,18 +473,16 @@ class Ingestor:
         facts = self.store.fact_dataset(self.workflow.schema)
         holistic = self._holistic_basics()
         pairs: list = [(node, {}) for node in holistic]
-        for record in facts.scan():
-            update_basic_tables(record, pairs)
+        fill_basic_tables(facts, pairs, resolve_batch_size(None))
 
-        node_tables: dict[str, dict] = {}
+        # Everything outside the deferred subgraph comes from the
+        # resident tables (read here, never patched) or the persisted
+        # states; only the deferred composites are derived.
+        resident = self._valid_resident() or self._load()
+        node_tables = dict(resident.tables)
         for node, raw in pairs:
             node_tables[node.name] = finalize_basic(node, raw)
-        for node in self.graph.basic_nodes:
-            if node.agg.function.kind is Kind.HOLISTIC:
-                continue
-            states = self.store.read_table(node.name, kind="states")
-            node_tables[node.name] = finalize_basic(node, states)
-        self._derive_composites(node_tables, skip=set())
+        self._derive_composites(node_tables, skip=set(resident.tables))
 
         closure = self._dirty_closure(
             list(dirty_nodes) + [node.name for node in holistic]
@@ -501,4 +497,7 @@ class Ingestor:
                 )
         commit.clear_dirty()
         commit.commit()
+        # The rewritten outputs hold the resident tables' rows, and the
+        # state files did not change: the resident tables stay valid.
+        self._resident = resident._replace(tag=self._state_files())
         return True

@@ -609,7 +609,9 @@ class StoreCommit:
             list(segment.offsets[:count:INDEX_EVERY]),
         )
         with open(idx_path, "w", encoding="utf-8") as fh:
-            json.dump(
+            # One ``dumps`` call runs the C encoder; ``json.dump`` to a
+            # file streams through the pure-Python one (same text).
+            fh.write(json.dumps(
                 {
                     "every": INDEX_EVERY,
                     "entries": [
@@ -617,9 +619,8 @@ class StoreCommit:
                         for key, offset in zip(index.keys, index.offsets)
                     ],
                     "rows": count,
-                },
-                fh,
-            )
+                }
+            ))
             _fsync_file(fh)
         self._staged_indexes[idx_name] = index
         return seg_name, idx_name

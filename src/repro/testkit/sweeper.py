@@ -9,15 +9,21 @@ woven site is swept automatically — it
 
 1. bootstraps a store from a seeded :class:`~repro.testkit.generator
    .RandomCase` base batch (once, then copied per site);
-2. runs a delta ingest in a *subprocess* armed via ``REPRO_FAILPOINT``
-   with a ``crash`` (or ``torn-write``) action at that one site, and
-   requires the child to die with :data:`~repro.testkit.failpoints
-   .CRASH_EXIT_CODE` — a site that does not fire fails the sweep,
-   catching registry drift;
+2. in a *subprocess* armed via ``REPRO_FAILPOINT`` with a ``crash``
+   (or ``torn-write``) action at that one site, opens the store,
+   ingests a warm-up delta with the site disarmed, re-arms it and
+   ingests the swept delta — the warm-up leaves the process holding
+   resident tables and splice images, so the kill lands inside the
+   delta-proportional paths a long-lived server runs, not a fresh
+   process's full writes — and requires the child to die with
+   :data:`~repro.testkit.failpoints.CRASH_EXIT_CODE` — a site that does
+   not fire fails the sweep, catching registry drift;
 3. reopens the store in the parent (running recovery: stale-temp
    removal and orphan GC), asserts the manifest references exactly the
    files on disk, and that the surviving generation is either the
-   pre-delta or the post-delta one — never a mixture;
+   pre-delta or the post-delta one — never a mixture (pre-delta is the
+   warm-up's generation once the child reported it committed, the
+   bootstrap's when the site fired while opening the store);
 4. re-ingests the delta if it was lost, resolves holistic dirt, and
    asserts every output table equals an uninjected one-shot
    evaluation over the full dataset.
@@ -41,6 +47,8 @@ from repro.storage.table import InMemoryDataset
 from repro.testkit.failpoints import (
     CRASH_EXIT_CODE,
     ENV_VAR,
+    clear,
+    install_from_env,
     load_instrumented_sites,
     registered,
 )
@@ -62,12 +70,16 @@ STORE_ENV = "REPRO_SWEEP_STORE"
 SEED_ENV = "REPRO_SWEEP_SEED"
 CLUSTER_ENV = "REPRO_SWEEP_CLUSTER"
 
+#: Line the child prints once its warm-up ingest has committed.
+WARMED = "warm-up committed"
+
 #: Shards of the sweep's scratch cluster — two is the smallest count
 #: where a crash between shard prepares can strand a *mixture*.
 CLUSTER_SHARDS = 2
 
-#: Records held back from the bootstrap batch and ingested by the
-#: doomed child; large enough to touch every basic node.
+#: Records held back from the bootstrap batch for each of the doomed
+#: child's two ingests (warm-up, then swept delta); large enough to
+#: touch every basic node.
 _DELTA_SIZE = 40
 
 
@@ -100,8 +112,19 @@ def _default_schema():
 
 
 def _split(case: RandomCase):
+    """``(bootstrap, warm-up delta, swept delta)`` records."""
     records = list(case.dataset.records)
-    return records[:-_DELTA_SIZE], records[-_DELTA_SIZE:]
+    return (
+        records[:-2 * _DELTA_SIZE],
+        records[-2 * _DELTA_SIZE:-_DELTA_SIZE],
+        records[-_DELTA_SIZE:],
+    )
+
+
+def _lost_deltas(case: RandomCase, warmed: bool) -> list:
+    """The deltas a store recovered to its pre-delta state lacks."""
+    __, warm_up, delta = _split(case)
+    return [delta] if warmed else [warm_up, delta]
 
 
 def _cluster_workflow(schema):
@@ -140,14 +163,16 @@ def child_main() -> None:
 
     Rebuilds the seed's case (the workflow is derived from the seed,
     not unpickled, so the parent and child agree by construction),
-    opens the copied store, and ingests the held-back delta.  The
-    armed fail point — installed from ``REPRO_FAILPOINT`` when
-    :mod:`repro.testkit.failpoints` was imported, before any of this
-    ran — kills the process somewhere along that path.
+    opens the copied store (the fail point armed from
+    ``REPRO_FAILPOINT`` when :mod:`repro.testkit.failpoints` was
+    imported may already kill it there), ingests the warm-up delta with
+    every fail point disarmed, re-arms the environment's sites, and
+    ingests the swept delta through the same ingestor, which the armed
+    fail point kills somewhere along that path.
 
     For cluster-scope sites the child instead opens the copied
-    *cluster*, runs a two-phase ingest, and then a fan-out read of
-    every measure — the read is what makes the router fan-out and
+    *cluster*, runs the two two-phase ingests, and then a fan-out read
+    of every measure — the read is what makes the router fan-out and
     worker dispatch sites fire, not just the commit-path ones.
     """
     from repro.service import Ingestor, MeasureStore
@@ -156,19 +181,30 @@ def child_main() -> None:
     seed = int(os.environ[SEED_ENV])
     schema = _default_schema()
     case = RandomCase(seed, schema)
-    __, delta = _split(case)
+    __, warm_up, delta = _split(case)
     if os.environ.get(CLUSTER_ENV):
         from repro.service.cluster import open_cluster
 
         workflow = _cluster_workflow(schema)
         cluster = open_cluster(store_path, workflow)
+        _warm_up(cluster.ingest, warm_up)
         cluster.ingest(delta)
         for name in workflow.outputs():
             cluster.range(name, ())
         cluster.close()
         return
-    store = MeasureStore(store_path)
-    Ingestor(store, case.workflow).ingest(delta)
+    ingestor = Ingestor(MeasureStore(store_path), case.workflow)
+    _warm_up(ingestor.ingest, warm_up)
+    ingestor.ingest(delta)
+
+
+def _warm_up(ingest, records) -> None:
+    """``ingest(records)`` with every fail point disarmed; then report
+    it (flushed: the crash skips buffered output) and re-arm."""
+    clear()
+    ingest(records)
+    print(WARMED, flush=True)
+    install_from_env()
 
 
 def _subprocess_env(
@@ -201,11 +237,16 @@ def _unreferenced_files(store) -> list[str]:
 
 
 def _check_recovery(
-    site_dir: str, case: RandomCase, baseline_generation: int, reference
+    site_dir: str, case: RandomCase, baseline_generation: int, reference,
+    warmed: bool,
 ) -> tuple[bool, bool, str]:
-    """Reopen, recover, converge, and compare; the sweep's step 3/4."""
+    """Reopen, recover, converge, and compare; the sweep's step 3/4.
+
+    ``baseline_generation`` is the bootstrap's; the pre-delta
+    generation is one more when the child's warm-up committed."""
     from repro.service import Ingestor, MeasureStore
 
+    baseline_generation += warmed
     store = MeasureStore(site_dir)  # recovery runs here
     orphans = _unreferenced_files(store)
     if orphans:
@@ -220,8 +261,8 @@ def _check_recovery(
         )
     ingestor = Ingestor(store, case.workflow)
     if not committed:
-        __, delta = _split(case)
-        ingestor.ingest(delta)
+        for delta in _lost_deltas(case, warmed):
+            ingestor.ingest(delta)
     ingestor.resolve()
     for name in case.workflow.outputs():
         expected = reference[name]
@@ -235,13 +276,14 @@ def _check_recovery(
 
 
 def _check_cluster_recovery(
-    site_dir: str, case: RandomCase, workflow, reference
+    site_dir: str, case: RandomCase, workflow, reference, warmed: bool
 ) -> tuple[bool, bool, str]:
     """Cluster analogue of :func:`_check_recovery`.
 
     Opening the cluster runs journal redo; afterwards the cluster
     MANIFEST must parse (never torn), the journal must be gone, the
-    epoch must be exactly pre- or post-delta, and — after re-ingesting
+    epoch must be exactly pre- or post-delta (the bootstrap's epoch 1
+    plus the warm-up's, when it committed), and — after re-ingesting
     a lost delta and resolving — every measure table must equal the
     uninjected one-shot evaluation.
     """
@@ -260,15 +302,16 @@ def _check_cluster_recovery(
     try:
         if IngestJournal.load(site_dir) is not None:
             return False, False, "journal survived recovery"
-        epoch = cluster.epoch
-        committed = epoch > 1
-        if epoch not in (1, 2):
+        epoch, pre = cluster.epoch, 1 + warmed
+        committed = epoch > pre
+        if epoch not in (pre, pre + 1):
             return committed, False, (
-                f"epoch {epoch} is neither pre (1) nor post (2)"
+                f"epoch {epoch} is neither pre ({pre}) nor post "
+                f"({pre + 1})"
             )
         if not committed:
-            __, delta = _split(case)
-            cluster.ingest(delta)
+            for delta in _lost_deltas(case, warmed):
+                cluster.ingest(delta)
         cluster.resolve()
         for name in workflow.outputs():
             expected = reference[name]
@@ -309,7 +352,7 @@ def sweep(
     if schema is None:
         schema = _default_schema()
     case = RandomCase(seed, schema)
-    base, __ = _split(case)
+    base = _split(case)[0]
     reference = SortScanEngine().evaluate(case.dataset, case.workflow)
 
     template = os.path.join(work_dir, "template")
@@ -362,6 +405,7 @@ def sweep(
             timeout=120,
         )
         fired = proc.returncode == CRASH_EXIT_CODE
+        warmed = WARMED in proc.stdout
         if not fired:
             result = SweepResult(
                 site=site,
@@ -380,11 +424,13 @@ def sweep(
         else:
             if is_cluster:
                 committed, ok, detail = _check_cluster_recovery(
-                    site_dir, case, cluster_workflow, cluster_reference
+                    site_dir, case, cluster_workflow, cluster_reference,
+                    warmed,
                 )
             else:
                 committed, ok, detail = _check_recovery(
-                    site_dir, case, baseline_generation, reference
+                    site_dir, case, baseline_generation, reference,
+                    warmed,
                 )
             result = SweepResult(
                 site=site,

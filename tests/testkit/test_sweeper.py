@@ -7,10 +7,25 @@ store's commit protocol survives a kill at any instrumented point.
 
 import pytest
 
-from repro.testkit.failpoints import CRASH_EXIT_CODE
+from repro.service import Ingestor, MeasureStore
+from repro.service import store as store_module
+from repro.storage.table import InMemoryDataset
+from repro.testkit.failpoints import (
+    CRASH_EXIT_CODE,
+    ENV_VAR,
+    FailPointError,
+    clear,
+)
+from repro.testkit.generator import RandomCase
 from repro.testkit.sweeper import (
+    SEED_ENV,
+    STORE_ENV,
     SWEEP_SCOPES,
+    WARMED,
     SweepResult,
+    _default_schema,
+    _split,
+    child_main,
     sweep,
     sweep_sites,
 )
@@ -81,6 +96,38 @@ class TestCrashSweep:
         assert not result.fired
         assert not result.ok
         assert "never fired" in result.detail
+
+
+class TestDoomedChild:
+    def test_armed_ingest_splices_after_the_warm_up(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The child's code path, run in-process with a raising site: the
+        # warm-up commits unarmed, then the armed ingest reaches a
+        # segment splice before the site fires.
+        schema = _default_schema()
+        case = RandomCase(0, schema)
+        path = str(tmp_path / "store")
+        Ingestor(MeasureStore(path), case.workflow).bootstrap(
+            InMemoryDataset(schema, _split(case)[0])
+        )
+        splices = []
+        real = store_module._splice
+        monkeypatch.setattr(
+            store_module, "_splice",
+            lambda *args: splices.append(args) or real(*args),
+        )
+        monkeypatch.setenv(STORE_ENV, path)
+        monkeypatch.setenv(SEED_ENV, "0")
+        monkeypatch.setenv(ENV_VAR, "store.segment-write:raise")
+        try:
+            with pytest.raises(FailPointError):
+                child_main()
+        finally:
+            clear()
+        assert WARMED in capsys.readouterr().out
+        assert splices
+        assert MeasureStore(path).generation == 2
 
 
 class TestSweepResult:
